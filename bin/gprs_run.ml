@@ -619,8 +619,13 @@ let engine =
   let doc = "Engine: pthreads, cpr, or gprs." in
   Arg.(value & opt string "gprs" & info [ "e"; "engine" ] ~doc)
 
-let contexts = Arg.(value & opt int 24 & info [ "contexts"; "n" ] ~doc:"Hardware contexts.")
-let scale = Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Input scale.")
+let contexts =
+  Arg.(value & opt Cli.contexts 24
+       & info [ "contexts"; "n" ] ~doc:"Hardware contexts (at least 1).")
+
+let scale =
+  Arg.(value & opt Cli.scale 1.0
+       & info [ "scale" ] ~doc:"Input scale (finite, greater than 0).")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Simulation seed.")
 let rate = Arg.(value & opt float 0.0 & info [ "rate" ] ~doc:"Exceptions per second.")
 let grain = Arg.(value & opt string "default" & info [ "grain" ] ~doc:"default or fine.")

@@ -97,10 +97,17 @@ let multiplicities (prog : Vm.Isa.program) (facts : Check.facts) =
 
 type sample = Word of int | Page of int
 
-let first_word_in_pages words pages =
-  List.find_opt
-    (fun w -> Races.mem_sorted (w lsr Races.page_bits) pages)
-    words
+(* First of [words] whose page is in [pages]. Both lists are sorted and
+   [words] non-negative, as in every summary, so the words' pages are
+   non-decreasing and one merge finds it. *)
+let rec first_word_in_pages words pages =
+  match (words, pages) with
+  | [], _ | _, [] -> None
+  | w :: ws, p :: ps ->
+    let q = w lsr Races.page_bits in
+    if q = p then Some w
+    else if q < p then first_word_in_pages ws pages
+    else first_word_in_pages words ps
 
 (* Overlap between one side's writes (words + pages) and the other
    side's accesses, word-precise entries compared at word granularity

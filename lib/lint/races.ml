@@ -59,9 +59,6 @@ type probe = {
 
 (* --- sorted-int-list set algebra -------------------------------------- *)
 
-let sorted_of_tbl tbl =
-  Hashtbl.fold (fun a () acc -> a :: acc) tbl [] |> List.sort_uniq compare
-
 let rec inter a b =
   match (a, b) with
   | [], _ | _, [] -> []
@@ -69,12 +66,6 @@ let rec inter a b =
     if x = y then x :: inter xs ys
     else if x < y then inter xs b
     else inter a ys
-
-let rec overlap a b =
-  match (a, b) with
-  | [], _ | _, [] -> false
-  | x :: xs, y :: ys ->
-    if x = y then true else if x < y then overlap xs b else overlap a ys
 
 (* First common element, for diagnostics. *)
 let rec common a b =
@@ -85,32 +76,64 @@ let rec common a b =
     else if x < y then common xs b
     else common a ys
 
-let mem_sorted x l = List.exists (fun y -> y = x) l
-
 (* --- the dual probe --------------------------------------------------- *)
+
+(* A probe's address set, sorted descending. The table is only ever
+   [Hashtbl.replace]d, so its keys are already distinct. *)
+let descending_of_tbl tbl =
+  Hashtbl.fold (fun a () acc -> a :: acc) tbl []
+  |> List.sort (fun a b -> Int.compare b a)
 
 (* Classify one access class (reads or writes) of the two probes into
    word-precise / page-coarse / unknown, clamped to the program's memory
-   so filler-derived garbage addresses cannot collide into findings. *)
+   so filler-derived garbage addresses cannot collide into findings.
+   After one sort per table, every step is a linear merge over sorted
+   lists. *)
 let classify ~mem_words ta tb =
-  let sa = sorted_of_tbl ta and sb = sorted_of_tbl tb in
-  let words =
-    inter sa sb |> List.filter (fun a -> a >= 0 && a < mem_words)
+  (* Merging the two descending sets splits them into the in-range
+     common words and each probe's leftovers, every list built
+     ascending. *)
+  let rec split sa sb words la lb =
+    match (sa, sb) with
+    | [], _ -> (words, la, List.rev_append sb lb)
+    | _, [] -> (words, List.rev_append sa la, lb)
+    | x :: sa', y :: sb' ->
+      if x = y then
+        if x >= 0 && x < mem_words then split sa' sb' (x :: words) la lb
+        else split sa' sb' words (x :: la) (x :: lb)
+      else if x > y then split sa' sb words (x :: la) lb
+      else split sa sb' words la (y :: lb)
   in
-  let leftover s = List.filter (fun a -> not (mem_sorted a words)) s in
-  let la = leftover sa and lb = leftover sb in
+  let words, la, lb =
+    split (descending_of_tbl ta) (descending_of_tbl tb) [] [] []
+  in
   let max_page = (mem_words + (1 lsl page_bits) - 1) lsr page_bits in
+  (* Leftovers are ascending, so the pages of the non-negative ones are
+     non-decreasing. A negative address's [lsr] page lies beyond the
+     [max_page] of any memory the VM can allocate: never a page, always
+     unknown. *)
   let pages l =
-    List.map (fun a -> a lsr page_bits) l
-    |> List.sort_uniq compare
-    |> List.filter (fun p -> p >= 0 && p < max_page)
+    List.fold_left
+      (fun acc a ->
+        let p = a lsr page_bits in
+        if p >= max_page then acc
+        else match acc with q :: _ when q = p -> acc | _ -> p :: acc)
+      [] l
+    |> List.rev
   in
   let shared_pages = inter (pages la) (pages lb) in
-  let unknown =
-    List.length
-      (List.filter (fun a -> not (mem_sorted (a lsr page_bits) shared_pages)) la)
+  let rec unknown n l ps =
+    match (l, ps) with
+    | [], _ -> n
+    | _, [] -> n + List.length l
+    | a :: l', _ when a < 0 -> unknown (n + 1) l' ps
+    | a :: l', p :: ps' ->
+      let q = a lsr page_bits in
+      if q < p then unknown (n + 1) l' ps
+      else if q = p then unknown n l' ps
+      else unknown n l ps'
   in
-  (words, shared_pages, unknown)
+  (words, shared_pages, unknown 0 la shared_pages)
 
 (* Probe-execute a [Work] body exactly as {!Absval.eval_work} does —
    same fillers, same salts, same fold of any exception to all-[Top]

@@ -13,7 +13,11 @@ type t = {
   finals : (string, Json.t * float) Hashtbl.t;  (* id -> done/error, arrival *)
   anon : (Json.t * float) Queue.t;  (* op replies without a request id *)
   mutable closed : bool;
+  mutable fd_open : bool;  (* under [wlock]; false once [close] began *)
+  mutable reader : Thread.t option;
 }
+
+exception Closed
 
 let sockaddr_of = function
   | Daemon.Tcp port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
@@ -83,30 +87,41 @@ let connect ?(retries = 3) addr =
       finals = Hashtbl.create 64;
       anon = Queue.create ();
       closed = false;
+      fd_open = true;
+      reader = None;
     }
   in
-  ignore (Thread.create (reader c (Unix.in_channel_of_descr fd)) ());
+  c.reader <- Some (Thread.create (reader c (Unix.in_channel_of_descr fd)) ());
   c
 
+(* Shut the socket down so the reader sees end-of-file, join it, and only
+   then release the descriptor: a reader still running when its number
+   is reused would read, and swallow, the next connection's replies. *)
 let close c =
   Mutex.lock c.wlock;
-  (try Unix.close c.fd with _ -> ());
-  Mutex.unlock c.wlock
+  let was_open = c.fd_open in
+  c.fd_open <- false;
+  Mutex.unlock c.wlock;
+  if was_open then begin
+    (try Unix.shutdown c.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+    Option.iter Thread.join c.reader;
+    try Unix.close c.fd with Unix.Unix_error _ -> ()
+  end
 
 let send c j =
   Mutex.lock c.wlock;
   let r =
-    try
-      output_string c.outc (Json.to_string j);
-      output_char c.outc '\n';
-      flush c.outc;
-      Ok ()
-    with e -> Error e
+    if not c.fd_open then Error Closed
+    else
+      try
+        output_string c.outc (Json.to_string j);
+        output_char c.outc '\n';
+        flush c.outc;
+        Ok ()
+      with e -> Error e
   in
   Mutex.unlock c.wlock;
   match r with Ok () -> () | Error e -> raise e
-
-exception Closed
 
 (* Final reply (done or error) for [id], with its host arrival time. *)
 let await c ~id =

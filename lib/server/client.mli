@@ -18,9 +18,11 @@ val connect : ?retries:int -> Daemon.addr -> t
     of patience); raise it when the daemon races a cold start. *)
 
 val close : t -> unit
+(** Shut the connection down, join its reader, then close the socket.
+    Idempotent. *)
 
 val send : t -> Json.t -> unit
-(** Ship one protocol line. *)
+(** Ship one protocol line; raises {!Closed} after {!close}. *)
 
 val await : t -> id:string -> Json.t * float
 (** Block until the final (done/error) reply for [id]; returns it with

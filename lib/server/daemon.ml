@@ -54,12 +54,22 @@ let send conn j =
    with _ -> conn.alive <- false);
   Mutex.unlock conn.wlock
 
+(* Only the connection's reader closes its descriptor, after its last
+   read: closing it under a reader about to call [read] would let that
+   call land on whatever socket reuses the number next. Anyone else
+   shuts the receive side down, which the reader sees as end-of-file. *)
 let close_conn conn =
   Mutex.lock conn.wlock;
   if conn.alive then begin
     conn.alive <- false;
     try Unix.close conn.fd with _ -> ()
   end;
+  Mutex.unlock conn.wlock
+
+let shutdown_conn conn =
+  Mutex.lock conn.wlock;
+  if conn.alive then (
+    try Unix.shutdown conn.fd Unix.SHUTDOWN_RECEIVE with _ -> ());
   Mutex.unlock conn.wlock
 
 (* --- daemon state ------------------------------------------------------- *)
@@ -78,6 +88,7 @@ type t = {
   pool : Analysis.Pool.shared;
   listener : Unix.file_descr;
   bound : addr;  (* with the real port for Tcp 0 *)
+  mutable acceptor : Thread.t option;
   mutex : Mutex.t;
   stopped : Condition.t;
   groups : (string, group) Hashtbl.t;  (* coalesce_key -> in-flight group *)
@@ -498,6 +509,8 @@ let reader t conn () =
   t.conns <- List.filter (fun c -> c != conn) t.conns;
   Mutex.unlock t.mutex
 
+(* Runs until [stop] wakes it; [stop] closes the listener once this
+   thread is joined, so no [accept] can land on a reused descriptor. *)
 let acceptor t () =
   let rec loop () =
     match Unix.accept t.listener with
@@ -512,11 +525,15 @@ let acceptor t () =
         }
       in
       Mutex.lock t.mutex;
-      t.conns <- conn :: t.conns;
+      let stopping = t.stopping in
+      if not stopping then t.conns <- conn :: t.conns;
       Mutex.unlock t.mutex;
-      ignore (Thread.create (reader t conn) ());
-      loop ()
-    | exception _ -> () (* listener closed: shutting down *)
+      if stopping then Unix.close fd
+      else begin
+        ignore (Thread.create (reader t conn) ());
+        loop ()
+      end
+    | exception _ -> () (* listener shut down: stopping *)
   in
   loop ()
 
@@ -559,6 +576,7 @@ let start cfg =
       pool = Analysis.Pool.shared_create ~jobs:cfg.jobs;
       listener;
       bound;
+      acceptor = None;
       mutex = Mutex.create ();
       stopped = Condition.create ();
       groups = Hashtbl.create 32;
@@ -572,7 +590,7 @@ let start cfg =
       n_shed = 0;
     }
   in
-  ignore (Thread.create (acceptor t) ());
+  t.acceptor <- Some (Thread.create (acceptor t) ());
   if cfg.idle_quiesce_ms > 0 then ignore (Thread.create (housekeeper t) ());
   t
 
@@ -585,6 +603,12 @@ let stop t =
     s
   in
   if not already then begin
+    (* Wake the acceptor, join it, then close the listener. On Linux,
+       shutting a listening socket down fails the pending [accept]; where
+       the shutdown is refused, joining could block forever. *)
+    (match Unix.shutdown t.listener Unix.SHUTDOWN_ALL with
+    | () -> Option.iter Thread.join t.acceptor
+    | exception Unix.Unix_error _ -> ());
     (try Unix.close t.listener with _ -> ());
     (match t.bound with
     | Unix_sock path -> ( try Unix.unlink path with _ -> ())
@@ -597,7 +621,7 @@ let stop t =
     let conns = t.conns in
     t.conns <- [];
     Mutex.unlock t.mutex;
-    List.iter close_conn conns;
+    List.iter shutdown_conn conns;
     Mutex.lock t.mutex;
     Condition.broadcast t.stopped;
     Mutex.unlock t.mutex

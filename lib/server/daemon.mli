@@ -50,7 +50,9 @@ val start : config -> t
 val stop : t -> unit
 (** Graceful stop: refuse new work, let in-flight requests finish and
     reply, join pool and speculative-window domains, close connections.
-    Idempotent. *)
+    The listener is closed only after its acceptor thread is joined, and
+    each connection is shut down for its reader to close, so no thread
+    is left to use a descriptor number the process reuses. Idempotent. *)
 
 val wait : t -> unit
 (** Block until {!stop} is initiated (the [serve] subcommand's body). *)

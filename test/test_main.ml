@@ -23,5 +23,6 @@ let () =
       ("par", Test_par.suite);
       ("service", Test_service.suite);
       ("points", Test_points.suite);
+      ("cli", Test_cli.suite);
       ("properties", Props.suite);
     ]

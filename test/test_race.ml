@@ -3,7 +3,10 @@
    FastTrack sanitizer ([Exec.Tsan]) under every engine; the shipped
    workload suite must be clean on both sides; and qcheck ties the two
    together (dropping a lock from a well-formed generated program is
-   flagged statically, and any dynamic report implies a static one). *)
+   flagged statically, and any dynamic report implies a static one).
+   The static pass's merge-based set algebra is held against naive
+   set-based references, and a golden file pins its output and access
+   summaries over the workload matrix. *)
 
 open Vm.Builder
 
@@ -252,8 +255,8 @@ let gen_shape =
             (int_range 0 (n_mut - 1))
             (list_size (int_range 1 3) (int_range 0 4)))))
 
-let case ?(count = 50) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let case ?(count = 50) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 let prop_wellformed_clean =
   case "race: well-formed locked program is clean on both sides"
@@ -277,6 +280,273 @@ let prop_dynamic_implies_static =
       let p = build_gen_prog ~n_mut ~segs ~drop in
       dyn_races ~engine:`Pthreads p = [] || static_racy p)
 
+(* --- merge-based set algebra against naive references ------------------- *)
+
+let page_bits = Lint.Races.page_bits
+
+(* The quadratic set-based definition [Lint.Races.classify] replaced,
+   kept here as its reference. *)
+let naive_classify ~mem_words ta tb =
+  let sorted tbl =
+    Hashtbl.fold (fun a () acc -> a :: acc) tbl [] |> List.sort_uniq compare
+  in
+  let sa = sorted ta and sb = sorted tb in
+  let words =
+    List.filter (fun a -> List.mem a sb && a >= 0 && a < mem_words) sa
+  in
+  let leftover s = List.filter (fun a -> not (List.mem a words)) s in
+  let la = leftover sa and lb = leftover sb in
+  let max_page = (mem_words + (1 lsl page_bits) - 1) lsr page_bits in
+  let pages l =
+    List.map (fun a -> a lsr page_bits) l
+    |> List.sort_uniq compare
+    |> List.filter (fun p -> p >= 0 && p < max_page)
+  in
+  let pb = pages lb in
+  let shared = List.filter (fun p -> List.mem p pb) (pages la) in
+  let unknown =
+    List.length
+      (List.filter (fun a -> not (List.mem (a lsr page_bits) shared)) la)
+  in
+  (words, shared, unknown)
+
+let naive_first_word_in_pages words pages =
+  List.find_opt (fun w -> List.mem (w lsr page_bits) pages) words
+
+let naive_region_overlap (w_words, w_pages) (o_words, o_pages) =
+  let common a b = List.find_opt (fun x -> List.mem x b) a in
+  let page w = Lint.Race.Page (w lsr page_bits) in
+  match common w_words o_words with
+  | Some w -> Some (Lint.Race.Word w)
+  | None -> (
+    match naive_first_word_in_pages w_words o_pages with
+    | Some w -> Some (page w)
+    | None -> (
+      match naive_first_word_in_pages o_words w_pages with
+      | Some w -> Some (page w)
+      | None ->
+        Option.map (fun p -> Lint.Race.Page p) (common w_pages o_pages)))
+
+(* The elements of [l] at the set bits of [mask]. *)
+let subset mask l =
+  List.filteri (fun i _ -> mask land (1 lsl (i mod 30)) <> 0) l
+
+let table l =
+  let t = Hashtbl.create 16 in
+  List.iter (fun a -> Hashtbl.replace t a ()) l;
+  t
+
+(* Memory sizes on and off a page multiple, and addresses drawn from
+   around zero (negatives included), around every page boundary up to
+   just past memory, at and above [mem_words], and anywhere in memory. *)
+let gen_mem_words =
+  QCheck2.Gen.(
+    oneof [ int_range 1 400; map (fun k -> k lsl page_bits) (int_range 1 6) ])
+
+let gen_addr mem_words =
+  let page = 1 lsl page_bits in
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, int_range (-2 * page) (-1));
+        (1, map (fun k -> -(k lsl 40)) (int_range 1 3));
+        ( 3,
+          map2
+            (fun p d -> (p * page) + d)
+            (int_range 0 ((mem_words / page) + 1))
+            (int_range (-3) 2) );
+        (2, int_range mem_words (mem_words + (2 * page)));
+        (4, int_range 0 (mem_words - 1));
+      ])
+
+(* Probe B's address set relates to probe A's the ways real probes do:
+   the same set, a subset or superset of it, A shifted within or across
+   pages, or independent. Either side may be empty. *)
+let gen_tables =
+  QCheck2.Gen.(
+    gen_mem_words >>= fun mem_words ->
+    let addrs = list_size (int_range 0 40) (gen_addr mem_words) in
+    addrs >>= fun a ->
+    let b =
+      oneof
+        [
+          return a;
+          return [];
+          map (fun mask -> subset mask a) (int_bound 0x3FFFFFFF);
+          map (fun extra -> a @ extra) addrs;
+          map (fun d -> List.map (fun x -> x + d) a) (int_range (-70) 70);
+          addrs;
+        ]
+    in
+    map (fun b -> (mem_words, a, b)) b)
+
+let print_tables (mem_words, a, b) =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  Printf.sprintf "mem_words=%d a=[%s] b=[%s]" mem_words (ints a) (ints b)
+
+let prop_classify_matches_naive =
+  case ~count:1000 ~print:print_tables
+    "race: classify = naive set-based classification" gen_tables
+    (fun (mem_words, a, b) ->
+      Lint.Races.classify ~mem_words (table a) (table b)
+      = naive_classify ~mem_words (table a) (table b))
+
+(* Summary-shaped inputs: sorted, distinct, non-negative words and pages
+   around a few page boundaries, one side sometimes a subset of the
+   other. *)
+let gen_region =
+  QCheck2.Gen.(
+    let sorted n hi =
+      map (List.sort_uniq compare) (list_size n (int_range 0 hi))
+    in
+    pair (sorted (int_range 0 12) 300) (sorted (int_range 0 4) 5))
+
+let gen_regions =
+  QCheck2.Gen.(
+    gen_region >>= fun ((ww, wp) as w) ->
+    oneof
+      [
+        gen_region;
+        return w;
+        map2
+          (fun mw mp -> (subset mw ww, subset mp wp))
+          (int_bound 0x3FFFFFFF) (int_bound 0x3FFFFFFF);
+      ]
+    >|= fun o -> (w, o))
+
+let print_regions ((ww, wp), (ow, op)) =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  Printf.sprintf "w=([%s],[%s]) o=([%s],[%s])" (ints ww) (ints wp) (ints ow)
+    (ints op)
+
+let prop_region_overlap_matches_naive =
+  case ~count:1000 ~print:print_regions "race: region_overlap = naive overlap"
+    gen_regions (fun (w, o) ->
+      Lint.Race.region_overlap w o = naive_region_overlap w o
+      && Lint.Race.region_overlap o w = naive_region_overlap o w)
+
+let prop_first_word_in_pages_matches_naive =
+  case ~count:1000 ~print:print_regions
+    "race: first_word_in_pages = naive scan" gen_regions
+    (fun ((ww, wp), (ow, op)) ->
+      Lint.Race.first_word_in_pages ww op = naive_first_word_in_pages ww op
+      && Lint.Race.first_word_in_pages ow wp = naive_first_word_in_pages ow wp)
+
+(* Summaries straight from [classify] over generated tables feed the
+   overlap too, so the two halves are checked on each other's shapes. *)
+let prop_overlap_of_classified =
+  case ~count:300
+    ~print:(fun (x, y) -> print_tables x ^ " / " ^ print_tables y)
+    "race: region_overlap = naive on classified summaries"
+    QCheck2.Gen.(pair gen_tables gen_tables)
+    (fun (t1, t2) ->
+      let region (mem_words, a, b) =
+        let words, pages, _ =
+          Lint.Races.classify ~mem_words (table a) (table b)
+        in
+        (words, pages)
+      in
+      let r1 = region t1 and r2 = region t2 in
+      Lint.Race.region_overlap r1 r2 = naive_region_overlap r1 r2)
+
+let classify_edge_cases () =
+  let check name ~mem_words a b =
+    Alcotest.(check bool) name true
+      (Lint.Races.classify ~mem_words (table a) (table b)
+      = naive_classify ~mem_words (table a) (table b))
+  in
+  check "empty tables" ~mem_words:64 [] [];
+  check "one empty side" ~mem_words:64 [ 1; 2; 70 ] [];
+  check "negative addresses" ~mem_words:64 [ -1; -64; -65; 3 ] [ -1; -2; 3 ];
+  check "at and above mem_words" ~mem_words:100 [ 99; 100; 101; 130 ]
+    [ 99; 100; 102; 131 ];
+  check "across a page boundary" ~mem_words:256 [ 62; 63; 64; 65 ]
+    [ 63; 64; 127; 128 ];
+  check "subset" ~mem_words:200 [ 1; 5; 64; 150 ] [ 5; 150 ];
+  Alcotest.(check (triple (list int) (list int) int))
+    "same page, different words" ([ 7 ], [ 1 ], 1)
+    (Lint.Races.classify ~mem_words:256 (table [ 7; 64; 300 ])
+       (table [ 7; 65 ]))
+
+(* --- golden diagnostics over the workload matrix ------------------------ *)
+
+(* Every Work site's access summary, rendered and hashed, so the golden
+   file pins the summaries too, not only the (clean) race verdicts. *)
+let summaries_line (facts : Lint.Check.facts) =
+  let sites = facts.Lint.Check.f_accesses in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let site (p, pc, _, _, (s : Lint.Races.summary)) =
+    Printf.sprintf "%s.%d w[%s] r[%s] wp[%s] rp[%s] u%d/%d%s" p pc
+      (ints s.w_words) (ints s.r_words) (ints s.w_pages) (ints s.r_pages)
+      s.unknown_writes s.unknown_reads
+      (if s.incomplete then " incomplete" else "")
+  in
+  let total f = List.fold_left (fun acc (_, _, _, _, s) -> acc + f s) 0 sites in
+  Printf.sprintf "%d sites, %d words, %d pages, %d unknown, md5 %s"
+    (List.length sites)
+    (total (fun s -> List.length s.Lint.Races.w_words + List.length s.r_words))
+    (total (fun s -> List.length s.Lint.Races.w_pages + List.length s.r_pages))
+    (total (fun s -> s.Lint.Races.unknown_writes + s.unknown_reads))
+    (Digest.to_hex (Digest.string (String.concat "\n" (List.map site sites))))
+
+(* One header per configuration, then its [Lint.Race.program] findings,
+   one per line. *)
+let golden_lines () =
+  let grains =
+    [
+      ("default", Workloads.Workload.Default);
+      ("fine", Workloads.Workload.Fine);
+    ]
+  in
+  List.concat_map
+    (fun spec ->
+      List.concat_map
+        (fun n ->
+          List.concat_map
+            (fun (gname, grain) ->
+              List.concat_map
+                (fun scale ->
+                  let p =
+                    spec.Workloads.Workload.build ~n_contexts:n ~grain ~scale
+                  in
+                  let diags = Lint.Race.program p in
+                  let _, facts = Lint.Check.program_facts p in
+                  Printf.sprintf "== %s contexts=%d grain=%s scale=%g: %s; %s"
+                    spec.Workloads.Workload.name n gname scale
+                    (Lint.Render.summary diags) (summaries_line facts)
+                  :: List.map (Format.asprintf "%a" Lint.Diagnostic.pp) diags)
+                [ 0.5; 1.0 ])
+            grains)
+        [ 2; 8; 24 ])
+    Workloads.Suite.all
+
+let golden_file = "fixtures/lint_golden.txt"
+
+let golden_matrix () =
+  let expected =
+    In_channel.with_open_bin golden_file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  let actual = golden_lines () in
+  let rec first_diff i = function
+    | e :: es, a :: as_ ->
+      if e = a then first_diff (i + 1) (es, as_) else Some (i, e, a)
+    | [], [] -> None
+    | e :: _, [] -> Some (i, e, "<missing>")
+    | [], a :: _ -> Some (i, "<missing>", a)
+  in
+  match first_diff 1 (expected, actual) with
+  | None -> ()
+  | Some (line, e, a) ->
+    (* Left beside the test binary, for review and deliberate promotion. *)
+    let out = "lint_golden.actual" in
+    Out_channel.with_open_bin out (fun oc ->
+        List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) actual);
+    Alcotest.failf
+      "%s line %d differs (full output in %s):\n  expected: %s\n  actual:   %s"
+      golden_file line (Filename.concat (Sys.getcwd ()) out) e a
+
 let suite =
   [
     Alcotest.test_case "unlocked write/write" `Quick unlocked_write_write;
@@ -297,4 +567,11 @@ let suite =
     prop_wellformed_clean;
     prop_dropped_lock_flagged;
     prop_dynamic_implies_static;
+    Alcotest.test_case "classify edge cases" `Quick classify_edge_cases;
+    prop_classify_matches_naive;
+    prop_region_overlap_matches_naive;
+    prop_first_word_in_pages_matches_naive;
+    prop_overlap_of_classified;
+    Alcotest.test_case "lint diagnostics match the golden matrix" `Quick
+      golden_matrix;
   ]

@@ -382,6 +382,88 @@ let test_protocol_errors () =
   checks "unknown workload refused" "error" (jstr "event" bad_workload);
   checki "with 400" 400 (jint "code" bad_workload)
 
+(* --- socket teardown ----------------------------------------------------- *)
+
+(* A descriptor closed under a thread blocked in [read] or [accept] does
+   not end the socket (the blocked call holds it open), and the thread,
+   once it returns to the call, uses whatever socket reuses the number
+   next: a stale client reader swallowed the next connection's replies
+   and hung its [await]. So teardown shuts sockets down, joins or lets
+   their reader finish, and closes last. Each check below fails on a
+   plain close, because the peer never sees end-of-file. *)
+
+let eof_within fd secs =
+  let deadline = Unix.gettimeofday () +. secs in
+  let buf = Bytes.create 4096 in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then false
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> false
+      | _ -> (
+        match Unix.read fd buf 0 (Bytes.length buf) with
+        | 0 -> true
+        | _ -> go ()
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true)
+  in
+  go ()
+
+let read_line_from fd =
+  let b = Buffer.create 64 and c = Bytes.create 1 in
+  let rec go () =
+    if Unix.read fd c 0 1 = 1 && Bytes.get c 0 <> '\n' then begin
+      Buffer.add_bytes b c;
+      go ()
+    end
+  in
+  go ();
+  Buffer.contents b
+
+let test_client_close_ends_connection () =
+  let lst = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close lst) @@ fun () ->
+  Unix.bind lst (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lst 1;
+  let port =
+    match Unix.getsockname lst with Unix.ADDR_INET (_, p) -> p | _ -> 0
+  in
+  let c = Server.Client.connect (Server.Daemon.Tcp port) in
+  let peer, _ = Unix.accept lst in
+  Fun.protect ~finally:(fun () -> Unix.close peer) @@ fun () ->
+  (* one round-trip, so the client's reader is back in [read] *)
+  let pinger = Thread.create Server.Client.ping c in
+  ignore (read_line_from peer);
+  let pong = "{\"event\":\"pong\"}\n" in
+  ignore (Unix.write_substring peer pong 0 (String.length pong));
+  Thread.join pinger;
+  Thread.delay 0.05;
+  Server.Client.close c;
+  checkb "peer sees end-of-file after close" true (eof_within peer 2.0);
+  checkb "send after close raises Closed" true
+    (match Server.Client.ping c with
+    | () -> false
+    | exception Server.Client.Closed -> true)
+
+let test_daemon_stop_ends_sockets () =
+  let d = Server.Daemon.start Server.Daemon.default_config in
+  let port = Server.Daemon.port d in
+  let raw = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close raw) @@ fun () ->
+  Unix.connect raw (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  let ping = "{\"op\":\"ping\"}\n" in
+  ignore (Unix.write_substring raw ping 0 (String.length ping));
+  checks "pong" "pong" (jstr "event" (jget (J.of_string (read_line_from raw))));
+  Thread.delay 0.05;
+  Server.Daemon.stop d;
+  checkb "connection sees end-of-file after stop" true (eof_within raw 2.0);
+  let late = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close late) @@ fun () ->
+  checkb "listener refuses after stop" true
+    (match Unix.connect late (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
+    | () -> false
+    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> true)
+
 (* --- idle watchdogs ----------------------------------------------------- *)
 
 let poll_until ~msg pred =
@@ -464,4 +546,8 @@ let suite =
       test_daemon_idle_quiesce;
     Alcotest.test_case "Par idle watchdog joins window workers" `Quick
       test_par_idle_quiesce;
+    Alcotest.test_case "client close ends its connection" `Quick
+      test_client_close_ends_connection;
+    Alcotest.test_case "daemon stop ends connections and listener" `Quick
+      test_daemon_stop_ends_sockets;
   ]
