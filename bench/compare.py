@@ -10,9 +10,8 @@ gates: more than F x its baseline (default 1.5 — fused dispatch bought
 enough headroom to gate the ratio tightly) AND more than an absolute
 slack above it (default 0.25 s for experiment wall-clock, 500 ns for
 micro ns/run, 2M words for alloc minor_words, 500 us for mean cold
-recovery, 100 ms for the static race/lint pass, 500 ms for the
-intra-run-parallelism fig11 wall legs, 250 ms for service-mode request
-latencies). The service section additionally carries two
+recovery, 100 ms for the static race/lint pass, 250 ms for service-mode
+request latencies). The service section additionally carries two
 baseline-independent invariants — zero superblock recompiles and a >= 2x
 cold/warm gap on the warm-cache leg — that fail the comparison outright.
 The alloc section gates GC minor words per run — the pooled
@@ -59,17 +58,12 @@ def index(run):
         (l["name"], l["contexts"], round(l["scale"], 4)): l["wall_ms"]
         for l in run.get("lint", [])
     }
-    par = {}
-    for e in run.get("par", []):
-        key = (e["name"], e["contexts"], round(e["scale"], 4))
-        par[key + ("j1",)] = e["wall_j1_ms"]
-        par[key + (f"j{e['jobs']}",)] = e["wall_jn_ms"]
     service = {}
     for s in run.get("service", []):
         key = (s["name"], s["contexts"], round(s["scale"], 4))
         for metric in ("cold_ms", "warm_ms", "p50_ms", "p99_ms"):
             service[key + (metric,)] = s[metric]
-    return exps, micro, alloc, recovery, lint, par, service
+    return exps, micro, alloc, recovery, lint, service
 
 
 def fault_point_invariant(run):
@@ -146,11 +140,6 @@ def main():
     ap.add_argument("--abs-slack-lint-ms", type=float, default=100.0,
                     help="static race/lint pass wall ms must also regress "
                          "by more than this to fail (default 100)")
-    ap.add_argument("--abs-slack-par-ms", type=float, default=500.0,
-                    help="intra-run-parallelism fig11 wall ms must also "
-                         "regress by more than this to fail (default 500; "
-                         "the floor is wide because multi-domain wall time "
-                         "is scheduler- and core-count-dependent)")
     ap.add_argument("--abs-slack-service-ms", type=float, default=250.0,
                     help="service-mode per-request latency (cold/warm "
                          "medians, open-loop p50/p99) must also regress by "
@@ -160,10 +149,8 @@ def main():
     args = ap.parse_args()
 
     base, new = load(args.baseline), load(args.new)
-    (base_exps, base_micro, base_alloc, base_rec, base_lint, base_par,
-     base_svc) = index(base)
-    (new_exps, new_micro, new_alloc, new_rec, new_lint, new_par,
-     new_svc) = index(new)
+    base_exps, base_micro, base_alloc, base_rec, base_lint, base_svc = index(base)
+    new_exps, new_micro, new_alloc, new_rec, new_lint, new_svc = index(new)
 
     print(f"comparing {args.new} against {args.baseline} (factor {args.factor})")
     failures = compare("experiment", base_exps, new_exps, args.factor,
@@ -176,8 +163,6 @@ def main():
                         args.abs_slack_recovery_s)
     failures += compare("lint", base_lint, new_lint, args.factor,
                         args.abs_slack_lint_ms)
-    failures += compare("par", base_par, new_par, args.factor,
-                        args.abs_slack_par_ms)
     failures += compare("service", base_svc, new_svc, args.factor,
                         args.abs_slack_service_ms)
     failures += service_invariants(new)

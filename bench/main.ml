@@ -48,18 +48,6 @@ type lint_entry = {
   l_wall_ms : float;
 }
 
-type par_entry = {
-  pr_contexts : int;
-  pr_scale : float;
-  pr_jobs : int;
-  pr_wall_j1_ms : float;
-  pr_wall_jn_ms : float;
-  pr_windows : float;
-  pr_committed : float;
-  pr_squashed : float;
-  pr_fallback : float;
-}
-
 type service_entry = {
   s_name : string;
   s_contexts : int;
@@ -284,89 +272,6 @@ let recovery_profile ~quick =
    pre-run default. One warm-up pass (lazy workload tables), then the
    median of three timed passes — host wall-clock is the thing being
    gated, and a median shrugs off one scheduler hiccup. *)
-(* ------------------------------------------------------------------ *)
-(* Intra-run parallelism: fig11 under the window scheduler             *)
-(* ------------------------------------------------------------------ *)
-
-(* fig11 wall-clock with the experiment pool held at one domain, so the
-   only variable between legs is Exec.Par's intra-run window scheduler
-   (-j 1 = sequential dispatch, -j N = speculative windows on N-1 worker
-   domains). The simulated series is bit-identical across legs — the
-   determinism contract — so the legs time the same work. Speedup is
-   hardware-dependent: worker domains need real cores to win, and on a
-   single-core host the stop-the-world GC handshake makes -j N a little
-   slower than -j 1; the committed counters record how much of the run
-   the windows carried either way. *)
-let par_profile ~quick ~jobs =
-  let parn = if jobs > 1 then jobs else 4 in
-  let scale = if quick then 0.04 else 0.08 in
-  let cfg = { (bench_cfg ~jobs:1 ~quick) with Analysis.Experiments.scale } in
-  let with_par_jobs j f =
-    let saved = Exec.Par.jobs () in
-    Exec.Par.set_jobs j;
-    Fun.protect ~finally:(fun () -> Exec.Par.set_jobs saved) f
-  in
-  let entries =
-    List.map
-      (fun c ->
-        let leg j =
-          with_par_jobs j (fun () ->
-              let t0 = Unix.gettimeofday () in
-              ignore (Analysis.Experiments.fig11 ~contexts:[ c ] cfg);
-              (Unix.gettimeofday () -. t0) *. 1000.0)
-        in
-        let w1 = leg 1 in
-        let wn = leg parn in
-        (* Window outcomes from one representative faulty fig11 point;
-           profiling-gated so the timed legs above stay stats-identical. *)
-        let windows, committed, squashed, fallback =
-          Vm.Block.set_profiling true;
-          Fun.protect ~finally:(fun () -> Vm.Block.set_profiling false)
-          @@ fun () ->
-          with_par_jobs parn @@ fun () ->
-          let r =
-            Analysis.Experiments.run_gprs ~rate:60.0
-              { cfg with Analysis.Experiments.n_contexts = c }
-              (Workloads.Suite.find "pbzip2")
-              ~grain:Workloads.Workload.Default
-          in
-          let assoc = Sim.Stats.to_assoc r.Exec.State.run_stats in
-          let g k = try List.assoc k assoc with Not_found -> 0.0 in
-          ( g "par.windows",
-            g "par.committed",
-            g "par.squashed",
-            g "par.fallback" )
-        in
-        {
-          pr_contexts = c;
-          pr_scale = scale;
-          pr_jobs = parn;
-          pr_wall_j1_ms = w1;
-          pr_wall_jn_ms = wn;
-          pr_windows = windows;
-          pr_committed = committed;
-          pr_squashed = squashed;
-          pr_fallback = fallback;
-        })
-      [ 4; 8 ]
-  in
-  (* Idle worker domains would tax every later single-domain row with
-     stop-the-world handshakes; tear the pool down before them. *)
-  Exec.Par.quiesce ();
-  Format.fprintf ppf
-    "=== Intra-run parallelism (fig11/pbzip2, -j 1 vs -j %d) ===@." parn;
-  List.iter
-    (fun e ->
-      Format.fprintf ppf
-        "fig11 ctx=%d: %7.1f ms (-j 1)  %7.1f ms (-j %d)  speedup %.2fx           windows %.0f committed %.0f squashed %.0f fallback %.0f@."
-        e.pr_contexts e.pr_wall_j1_ms e.pr_wall_jn_ms e.pr_jobs
-        (if e.pr_wall_jn_ms > 0.0 then e.pr_wall_j1_ms /. e.pr_wall_jn_ms
-         else 0.0)
-        e.pr_windows e.pr_committed e.pr_squashed e.pr_fallback)
-    entries;
-  Format.fprintf ppf "@.";
-  entries
-
 let lint_profile ~quick =
   let contexts = 8 in
   let scale = if quick then 0.05 else 0.1 in
@@ -590,8 +495,7 @@ let profile_mix ~quick =
             prefixed ~prefix:"dispatch." k
             || prefixed ~prefix:"fuse." k
             || prefixed ~prefix:"pool." k
-            || prefixed ~prefix:"compile." k
-            || prefixed ~prefix:"par." k)
+            || prefixed ~prefix:"compile." k)
           assoc
       in
       let dispatch = List.filter (fun (k, _) -> prefixed ~prefix:"dispatch." k) entries in
@@ -745,7 +649,7 @@ let json_escape s =
   Buffer.contents buf
 
 let write_json path ~quick ~jobs ~experiments ~alloc ~recovery ~lints ~micro
-    ~par ~service ~profile =
+    ~service ~profile =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -794,18 +698,6 @@ let write_json path ~quick ~jobs ~experiments ~alloc ~recovery ~lints ~micro
         (if i = List.length lints - 1 then "" else ","))
     lints;
   p "  ],\n";
-  p "  \"par\": [\n";
-  List.iteri
-    (fun i (e : par_entry) ->
-      p
-        "    {\"name\": \"fig11\", \"contexts\": %d, \"scale\": %.4f,          \"jobs\": %d, \"wall_j1_ms\": %.3f, \"wall_jn_ms\": %.3f,          \"speedup\": %.3f, \"windows\": %.0f, \"committed\": %.0f,          \"squashed\": %.0f, \"fallback\": %.0f}%s\n"
-        e.pr_contexts e.pr_scale e.pr_jobs e.pr_wall_j1_ms e.pr_wall_jn_ms
-        (if e.pr_wall_jn_ms > 0.0 then e.pr_wall_j1_ms /. e.pr_wall_jn_ms
-         else 0.0)
-        e.pr_windows e.pr_committed e.pr_squashed e.pr_fallback
-        (if i = List.length par - 1 then "" else ","))
-    par;
-  p "  ],\n";
   p "  \"service\": [\n";
   List.iteri
     (fun i (s : service_entry) ->
@@ -843,7 +735,7 @@ let write_json path ~quick ~jobs ~experiments ~alloc ~recovery ~lints ~micro
 (* CLI                                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let main json jobs quick profile par_j service_only =
+let main json jobs quick profile service_only =
   (* Benchmarks gate regressions; an armed fault point (GPRS_FAULT_POINTS
      leaks here too) perturbs every number, so refuse to measure rather
      than commit a poisoned baseline. The armed count is also written to
@@ -858,20 +750,18 @@ let main json jobs quick profile par_j service_only =
   let jobs =
     if jobs = 0 then Analysis.Pool.available_jobs () else Stdlib.max 1 jobs
   in
-  (match par_j with Some j -> Exec.Par.set_jobs j | None -> ());
   if service_only then begin
     let service = service_profile ~quick in
     match json with
     | Some path ->
       write_json path ~quick ~jobs ~experiments:[] ~alloc:[] ~recovery:[]
-        ~lints:[] ~micro:[] ~par:[] ~service ~profile:[]
+        ~lints:[] ~micro:[] ~service ~profile:[]
     | None -> ()
   end
   else begin
     let experiments = print_experiments ~jobs ~quick in
     let alloc = alloc_profile ~quick in
     let recovery = recovery_profile ~quick in
-    let par = par_profile ~quick ~jobs in
     let lints = lint_profile ~quick in
     let service = service_profile ~quick in
     let prof = if profile then profile_mix ~quick else [] in
@@ -879,7 +769,7 @@ let main json jobs quick profile par_j service_only =
     match json with
     | Some path ->
       write_json path ~quick ~jobs ~experiments ~alloc ~recovery ~lints ~micro
-        ~par ~service ~profile:prof
+        ~service ~profile:prof
     | None -> ()
   end
 
@@ -911,12 +801,6 @@ let profile =
   in
   Arg.(value & flag & info [ "profile" ] ~doc)
 
-let par_j =
-  let doc =
-    "Worker domains for intra-run parallelism during the part-1      experiment runs (overrides $(b,GPRS_PAR_J)); the dedicated \"par\"      section always times both -j 1 and -j N legs regardless."
-  in
-  Arg.(value & opt (some int) None & info [ "par-j" ] ~doc)
-
 let service_only =
   let doc =
     "Run only the service-mode section (daemon warm/cold round-trips and \
@@ -927,6 +811,6 @@ let service_only =
 let cmd =
   let doc = "GPRS benchmark harness (paper evaluation + micro-benchmarks)" in
   Cmd.v (Cmd.info "bench" ~doc)
-    Term.(const main $ json $ jobs $ quick $ profile $ par_j $ service_only)
+    Term.(const main $ json $ jobs $ quick $ profile $ service_only)
 
 let () = Stdlib.exit (Cmd.eval cmd)

@@ -69,22 +69,13 @@ let print_profile (r : Exec.State.run_result) =
      event-queue cell recycling, plus the live high-water mark. *)
   let pool = List.filter (fun (k, _) -> prefixed ~prefix:"pool." k) assoc in
   if pool <> [] then begin
-    Format.printf "pool (GPRS_NO_POOL=1 disables recycling):@.";
+    Format.printf "pool:@.";
     List.iter (fun (k, v) -> Format.printf "  %-24s %12.0f@." k v) pool
-  end;
-  (* Intra-run parallelism (--par-j / GPRS_PAR_J): speculative windows
-     leased to worker domains, and how many survived commit. *)
-  let par = List.filter (fun (k, _) -> prefixed ~prefix:"par." k) assoc in
-  if par <> [] then begin
-    Format.printf "par (%d jobs; windows committed replace whole hops):@."
-      (Exec.Par.jobs ());
-    List.iter (fun (k, v) -> Format.printf "  %-24s %12.0f@." k v) par
   end
 
 let run workload engine contexts scale seed rate grain ordering interval
-    show_stats profile strict_lint no_lint par_j =
+    show_stats profile strict_lint no_lint =
   if profile then Vm.Block.set_profiling true;
-  (match par_j with Some j -> Exec.Par.set_jobs j | None -> ());
   let spec, program = build_workload workload contexts scale grain in
   match cli_lint ~strict_lint ~no_lint program with
   | `Refuse ->
@@ -389,8 +380,7 @@ let crashsweep_run workload contexts scale seed sample schemes no_pcpr json =
 
 (* --- serve subcommand ------------------------------------------------- *)
 
-let serve_run port sock jobs depth cache_cap idle_ms par_j allow_fault =
-  (match par_j with Some j -> Exec.Par.set_jobs j | None -> ());
+let serve_run port sock jobs depth cache_cap idle_ms allow_fault =
   let addr =
     match sock with
     | Some path -> Server.Daemon.Unix_sock path
@@ -661,20 +651,10 @@ let no_lint =
   Arg.(value & flag
        & info [ "no-lint" ] ~doc:"Skip the pre-execution GPRS-lint pass.")
 
-let par_j =
-  Arg.(value & opt (some int) None
-       & info [ "par-j" ]
-           ~doc:
-             "Worker domains for intra-run parallelism (including the \
-              coordinator); 1 runs sequentially. Overrides $(b,GPRS_PAR_J). \
-              The simulated result is identical for every value; only \
-              wall-clock changes.")
-
 let run_term =
   Term.(
     const run $ workload $ engine $ contexts $ scale $ seed $ rate $ grain
-    $ ordering $ interval $ stats $ profile_flag $ strict_lint $ no_lint
-    $ par_j)
+    $ ordering $ interval $ stats $ profile_flag $ strict_lint $ no_lint)
 
 let run_cmd =
   let doc = "run one workload under pthreads / CPR / GPRS" in
@@ -808,8 +788,8 @@ let serve_idle_ms =
   Arg.(value & opt int 200
        & info [ "idle-ms" ]
            ~doc:
-             "Join idle worker domains (request pool and speculative-window \
-              workers) after this many ms without traffic; 0 disables.")
+             "Join idle request-pool worker domains after this many ms \
+              without traffic; 0 disables.")
 
 let serve_allow_fault =
   Arg.(value & flag
@@ -829,7 +809,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc)
     Term.(
       const serve_run $ serve_port $ serve_sock $ serve_jobs $ serve_depth
-      $ serve_cache $ serve_idle_ms $ par_j $ serve_allow_fault)
+      $ serve_cache $ serve_idle_ms $ serve_allow_fault)
 
 let client_port =
   Arg.(value & opt int 7477

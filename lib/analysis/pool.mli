@@ -50,9 +50,9 @@ val shared_wait : shared -> unit
 
 val shared_quiesce : shared -> unit
 (** Drain, then join all worker domains — the daemon's idle
-    housekeeping, for the same stop-the-world reason as
-    {!Exec.Par.quiesce}: a parked domain taxes every single-domain phase
-    in the process. The pool remains usable; the next submission
+    housekeeping: even a parked domain participates in every
+    stop-the-world collection, taxing every single-domain phase in the
+    process. The pool remains usable; the next submission
     respawns workers. Safe to call concurrently with {!shared_submit}
     and with other [shared_quiesce] calls: a task submitted mid-quiesce
     is drained by a not-yet-exited worker or served by workers the

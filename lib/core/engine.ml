@@ -85,7 +85,6 @@ type eng = {
   budget : int;  (* max_cycles, or max_int *)
   instrs : int ref;  (* cached "instrs" counter *)
   mutable io_tid : int;  (* thread being dispatched: owner of Io_op appends *)
-  mutable par : Exec.Par.session option;  (* speculative-window session *)
 }
 
 let now eng = Exec.State.now eng.st
@@ -234,32 +233,6 @@ let take_delay eng tid =
 
 let on_ctx eng tid = Array.exists (fun o -> o = Some tid) eng.ctx_of
 
-(* Speculation seam. The fused-dispatch horizon is [min budget
-   fault-horizon] (see the fused leg below); it is usually infinite, so
-   the worker's relative stop bound is too — GPRS windows end naturally
-   at the next synchronization boundary, exactly like its fused chains.
-   A thread's state is final from the moment it goes runnable (grant,
-   wake, chain end) until its next dispatch: grants and fills only
-   target parked threads, and the pool is non-preemptive. *)
-let par_hrel eng =
-  let b = if eng.budget = max_int then max_int else eng.budget + 1 in
-  let h = Stdlib.min b (fault_horizon eng) in
-  if h = max_int then max_int else Stdlib.max 0 (h - now eng)
-
-let par_lease eng tid =
-  if eng.par <> None then begin
-    let tcb = Exec.State.thread eng.st tid in
-    if tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then
-      let undo =
-        match cur_sub_opt eng tid with
-        | Some sub -> Some sub.Subthread.undo
-        | None -> None
-      in
-      Exec.Par.lease eng.par eng.st tcb ~undo
-        ~delay:(Tidtab.get eng.pending_delay tid)
-        ~hrel:(par_hrel eng)
-  end
-
 let make_runnable eng ~ctx_hint tid =
   let queued = Tidtab.get eng.queued tid
   and on_c = on_ctx eng tid
@@ -270,8 +243,7 @@ let make_runnable eng ~ctx_hint tid =
     (* A flag, not a Hashtbl.add: a re-add after a missed remove cannot
        shadow-stack bindings. *)
     Tidtab.set eng.queued tid true;
-    Sched.Scheduler.enqueue eng.sched ~ctx_hint tid;
-    par_lease eng tid
+    Sched.Scheduler.enqueue eng.sched ~ctx_hint tid
   end
 
 let schedule_tick eng ctx ~after =
@@ -473,49 +445,6 @@ let rec try_grant eng =
 (* ------------------------------------------------------------------ *)
 
 and dispatch eng ctx (tcb : Vm.Tcb.t) =
-  let tid = tcb.Vm.Tcb.tid in
-  if eng.par = None then dispatch_seq eng ctx tcb
-  else if
-    not (Vm.Block.fusing ())
-    || eng.recovering
-    || Rol.size eng.rol >= 4096
-    || cur_sub_opt eng tid = None
-  then begin
-    (* the fused leg is disqualified this dispatch (or the thread has no
-       sub to charge against): the hop must run sequentially *)
-    Exec.Par.cancel eng.par ~tid;
-    dispatch_seq eng ctx tcb
-  end
-  else begin
-    let st = eng.st in
-    let t0 = now eng in
-    eng.io_tid <- tid;
-    (match cur_sub_opt eng tid with
-    | Some sub -> st.Exec.State.current_undo <- Some sub.Subthread.undo
-    | None -> st.Exec.State.current_undo <- None);
-    let b = if eng.budget = max_int then max_int else eng.budget + 1 in
-    let horizon = Stdlib.min b (fault_horizon eng) in
-    let delay = Tidtab.get eng.pending_delay tid in
-    match Exec.Par.commit eng.par st tcb ~horizon ~delay ~instrs:eng.instrs with
-    | None -> dispatch_seq eng ctx tcb
-    | Some c ->
-      ignore (take_delay eng tid);
-      (match cur_sub_opt eng tid with
-      | Some sub ->
-        (* the fused leg's [on_fused]/[on_trace] bookkeeping, replayed
-           from the window's summary *)
-        if c.Exec.Par.c_entered_cpr then sub.Subthread.cpr_region <- true;
-        if c.Exec.Par.c_opaques > 0 then begin
-          sub.Subthread.global_dep <- not c.Exec.Par.c_last_opaque_in_cpr;
-          Sim.Stats.add st.Exec.State.stats "gprs.opaque_calls"
-            c.Exec.Par.c_opaques
-        end
-      | None -> ());
-      schedule_tick eng ctx ~after:(c.Exec.Par.c_vend - t0);
-      par_lease eng tid
-  end
-
-and dispatch_seq eng ctx (tcb : Vm.Tcb.t) =
   let st = eng.st in
   let tid = tcb.Vm.Tcb.tid in
   let t0 = now eng in
@@ -584,8 +513,7 @@ and dispatch_seq eng ctx (tcb : Vm.Tcb.t) =
     tcb.Vm.Tcb.pc <- tcb.Vm.Tcb.pc + 1;
     Sim.Stats.incr st.Exec.State.stats "gprs.barrier_skips";
     schedule_tick eng ctx
-      ~after:(!ctrl + eng.cfg.costs.Vm.Costs.barrier_entry + take_delay eng tid);
-    par_lease eng tid
+      ~after:(!ctrl + eng.cfg.costs.Vm.Costs.barrier_entry + take_delay eng tid)
   end
   else if Vm.Isa.is_sync_point instr && not suppressed then begin
     (* Sub-thread boundary: park for the deterministic turn. *)
@@ -798,8 +726,7 @@ and dispatch_seq eng ctx (tcb : Vm.Tcb.t) =
           ~vstart:(t0 + Stdlib.max Exec.Sem.min_cost first)
           ()
       in
-      schedule_tick eng ctx ~after:(vend - t0);
-      par_lease eng tid
+      schedule_tick eng ctx ~after:(vend - t0)
     end
     else schedule_tick eng ctx ~after:first
   end
@@ -1303,8 +1230,8 @@ let finalize eng ~dnc =
   Sim.Stats.set_max st.Exec.State.stats "gprs.rol_depth" (Rol.max_size eng.rol);
   Sim.Stats.set_max st.Exec.State.stats "wal.high_water" (Wal.high_water eng.wal);
   (* Pool effectiveness counters are host-side observations, recorded only
-     under --profile so run stats stay identical across pooled/unpooled
-     (and fused/unfused) legs. *)
+     under --profile so run stats stay identical across fused/unfused
+     legs. *)
   if !Vm.Block.profiling then begin
     let hits, misses, live_hw = Subthread.pool_stats eng.pool in
     Sim.Stats.add st.Exec.State.stats "pool.sub.hits" hits;
@@ -1373,7 +1300,6 @@ let mk_eng cfg st ~order ~injector ~destroyed ~dead_ctx ~next_sub_id ~stable =
     budget = Option.value ~default:max_int cfg.max_cycles;
     instrs = Sim.Stats.counter st.Exec.State.stats "instrs";
     io_tid = 0;
-    par = None;
   }
 
 (* §3.2's coverage of the scheduler and IO metadata: queue inserts and
@@ -1410,8 +1336,6 @@ let boot_checkpoint eng =
   end
 
 let run_loop eng =
-  eng.par <- Exec.Par.start eng.st;
-  Fun.protect ~finally:(fun () -> Exec.Par.stop eng.par) @@ fun () ->
   let st = eng.st and cfg = eng.cfg in
   let rec loop () =
     if eng.squashed_since_retire > cfg.livelock_squashes then finalize eng ~dnc:true

@@ -158,10 +158,6 @@ let completion_time t =
 
 (* --- pooling ---------------------------------------------------------- *)
 
-let pool_enabled = ref (Sys.getenv_opt "GPRS_NO_POOL" = None)
-let pooling () = !pool_enabled
-let set_pooling b = pool_enabled := b
-
 type pool = {
   mutable free : t list;
   mutable hits : int;
@@ -176,7 +172,7 @@ let acquire p ~id ~tid ~now ~(tcb : Vm.Tcb.t) =
   p.live <- p.live + 1;
   if p.live > p.live_hw then p.live_hw <- p.live;
   match p.free with
-  | sub :: rest when !pool_enabled ->
+  | sub :: rest ->
     p.free <- rest;
     p.hits <- p.hits + 1;
     sub.id <- id;
@@ -185,27 +181,25 @@ let acquire p ~id ~tid ~now ~(tcb : Vm.Tcb.t) =
     sub.status <- Running;
     Vm.Tcb.copy_state_into tcb sub.saved;
     sub
-  | _ ->
+  | [] ->
     p.misses <- p.misses + 1;
     make ~id ~tid ~now ~saved:(Vm.Tcb.copy_state tcb)
 
 let release p sub =
   p.live <- p.live - 1;
-  if !pool_enabled then begin
-    (* Scrub at release, not acquire: a parked record must reference
-       nothing from its previous life (undo pre-images, freed blocks,
-       forked tids), so squashed state can never be resurrected through
-       the pool. *)
-    clear_aliases sub;
-    sub.global_dep <- false;
-    sub.cpr_region <- false;
-    sub.held_locks <- [];
-    Exec.Undo_log.reset sub.undo;
-    sub.forked <- [];
-    sub.pending_mutex <- None;
-    sub.freed_blocks <- [];
-    p.free <- sub :: p.free
-  end
+  (* Scrub at release, not acquire: a parked record must reference
+     nothing from its previous life (undo pre-images, freed blocks,
+     forked tids), so squashed state can never be resurrected through
+     the pool. *)
+  clear_aliases sub;
+  sub.global_dep <- false;
+  sub.cpr_region <- false;
+  sub.held_locks <- [];
+  Exec.Undo_log.reset sub.undo;
+  sub.forked <- [];
+  sub.pending_mutex <- None;
+  sub.freed_blocks <- [];
+  p.free <- sub :: p.free
 
 let pool_stats p = (p.hits, p.misses, p.live_hw)
 

@@ -26,7 +26,6 @@ type eng = {
   queued : (int, unit) Hashtbl.t;  (* tids currently in the run queue *)
   budget : int;  (* max_cycles, or max_int *)
   instrs : int ref;  (* cached "instrs" counter *)
-  mutable par : Par.session option;  (* speculative-window session *)
 }
 
 let on_ctx eng tid = Array.exists (fun o -> o = Some tid) eng.ctx_of
@@ -37,21 +36,17 @@ let make_runnable eng ~ctx_hint tid =
     Sched.Scheduler.enqueue eng.sched ~ctx_hint tid
   end
 
-let schedule_tick_h eng ctx ~after =
+let schedule_tick eng ctx ~after =
   let now = State.now eng.st in
-  Sim.Event_queue.schedule eng.st.State.evq ~prio:(1 + ctx)
-    ~time:(now + Stdlib.max Sem.min_cost after)
-    (Tick ctx)
-
-let schedule_tick eng ctx ~after = ignore (schedule_tick_h eng ctx ~after)
+  ignore
+    (Sim.Event_queue.schedule eng.st.State.evq ~prio:(1 + ctx)
+       ~time:(now + Stdlib.max Sem.min_cost after)
+       (Tick ctx))
 
 (* The fused hop's deopt horizon, folded into one bound exactly as the
    fused leg below folds it: [s <= budget && (s - started < quantum ||
    (q_empty && s < t_next))] is [s < horizon] because every input is
-   constant for the hop. Evaluated both mid-dispatch (sequential leg)
-   and at dispatch entry (window commit) — equal there because a leased
-   hop's first instruction is [Work]/[Opaque], which wakes no thread and
-   schedules no event. *)
+   constant for the hop. *)
 let hop_horizon eng ctx ~q_empty ~t_next =
   let st = eng.st in
   let quantum = st.State.costs.Vm.Costs.quantum in
@@ -62,47 +57,12 @@ let hop_horizon eng ctx ~q_empty ~t_next =
   in
   Stdlib.min b sched_h
 
-let entry_horizon eng ctx =
-  let q_empty = Sched.Scheduler.is_empty eng.sched in
-  let t_next =
-    match Sim.Event_queue.peek_time eng.st.State.evq with
-    | Some t -> t
-    | None -> max_int
-  in
-  hop_horizon eng ctx ~q_empty ~t_next
-
-(* Offer the next hop to the window pool, guessing the horizon its
-   commit-time dispatch will compute. [started] cannot move while the
-   thread keeps the context, and the tick just scheduled is excluded
-   from the event-queue sample; the guess is clamped up to a full
-   quantum because the sampled event-queue head is systematically
-   pessimistic (those events fire and reschedule before this hop
-   dispatches). A wrong guess squashes at commit, costing wall-clock
-   only — the commit rule never trusts it. *)
-let lease_next eng ctx (tcb : Vm.Tcb.t) ~tick_h ~t_tick =
-  if eng.par <> None && tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then begin
-    let q_empty = Sched.Scheduler.is_empty eng.sched in
-    let t_next =
-      match Sim.Event_queue.next_time_excluding eng.st.State.evq tick_h with
-      | Some t -> t
-      | None -> max_int
-    in
-    let horizon = hop_horizon eng ctx ~q_empty ~t_next in
-    let hrel =
-      if horizon = max_int then max_int
-      else
-        Stdlib.max (horizon - t_tick) eng.st.State.costs.Vm.Costs.quantum
-    in
-    Par.lease eng.par eng.st tcb ~undo:eng.st.State.current_undo ~delay:0
-      ~hrel
-  end
-
 (* Execute one instruction of [tcb] on [ctx], then as much of the
    following fused block as stays unobservable, and schedule the
    context's next tick at the chain's completion time. Control-flow
    instructions are fused into the next real instruction at one cycle
    each. *)
-let dispatch_seq eng ctx (tcb : Vm.Tcb.t) =
+let dispatch eng ctx (tcb : Vm.Tcb.t) =
   let st = eng.st in
   let t0 = State.now st in
   let ctrl = ref 0 in
@@ -203,30 +163,9 @@ let dispatch_seq eng ctx (tcb : Vm.Tcb.t) =
         ~vstart:(t0 + Stdlib.max Sem.min_cost (!ctrl + d))
         ()
     in
-    let tick_h = schedule_tick_h eng ctx ~after:(vend - t0) in
-    lease_next eng ctx tcb ~tick_h ~t_tick:vend
+    schedule_tick eng ctx ~after:(vend - t0)
   end
   else schedule_tick eng ctx ~after:(!ctrl + d)
-
-(* Dispatch seam: a leased window for this thread, if it validates,
-   replaces the whole sequential hop above. *)
-let dispatch eng ctx (tcb : Vm.Tcb.t) =
-  if eng.par = None then dispatch_seq eng ctx tcb
-  else if not (Vm.Block.fusing ()) then begin
-    Par.cancel eng.par ~tid:tcb.Vm.Tcb.tid;
-    dispatch_seq eng ctx tcb
-  end
-  else begin
-    let t0 = State.now eng.st in
-    match
-      Par.commit eng.par eng.st tcb ~horizon:(entry_horizon eng ctx)
-        ~delay:0 ~instrs:eng.instrs
-    with
-    | None -> dispatch_seq eng ctx tcb
-    | Some c ->
-      let tick_h = schedule_tick_h eng ctx ~after:(c.Par.c_vend - t0) in
-      lease_next eng ctx tcb ~tick_h ~t_tick:c.Par.c_vend
-  end
 
 let fill eng ctx =
   match Sched.Scheduler.take eng.sched ~ctx with
@@ -268,7 +207,6 @@ let tick eng ctx =
         && not (Sched.Scheduler.is_empty eng.sched)
       then begin
         (* Quantum expired and others are waiting: preempt. *)
-        Par.cancel eng.par ~tid;
         eng.ctx_of.(ctx) <- None;
         make_runnable eng ~ctx_hint:ctx tid;
         Sim.Stats.incr st.State.stats "preemptions";
@@ -295,11 +233,8 @@ let run ?blocks config program =
       queued = Hashtbl.create 64;
       budget = Option.value ~default:max_int config.max_cycles;
       instrs = Sim.Stats.counter st.State.stats "instrs";
-      par = None;
     }
   in
-  eng.par <- Par.start st;
-  Fun.protect ~finally:(fun () -> Par.stop eng.par) @@ fun () ->
   make_runnable eng ~ctx_hint:0 State.main_tid;
   fill_all eng;
   let rec loop () =

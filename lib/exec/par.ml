@@ -1,1007 +1,3 @@
-(* Speculative execution windows on an OCaml 5 domain pool. See par.mli
-   for the protocol; the invariant every line here serves is that a
-   committed window is bit-identical to the sequential hop it replaces,
-   and a squashed window has touched nothing. *)
-
-(* --- runtime switch ---------------------------------------------------- *)
-
-let jobs_ref =
-  ref
-    (match Sys.getenv_opt "GPRS_PAR_J" with
-    | Some s -> ( try Stdlib.max 1 (int_of_string (String.trim s)) with _ -> 1)
-    | None -> 1)
-
-let jobs () = !jobs_ref
-let set_jobs n = jobs_ref := Stdlib.max 1 n
-
-(* The sanitizer's shadow state lives on the coordinator and its hooks
-   key off [tcb.pc] mid-hop; windows cannot replay it. Serialize instead
-   of refusing so GPRS_TSAN=1 composes with GPRS_PAR_J=N in CI. *)
-let effective_jobs () = if Tsan.enabled () then 1 else !jobs_ref
-
-(* --- window records ---------------------------------------------------- *)
-
-(* Window lifecycle, CASed through an [int Atomic.t]: the coordinator
-   publishes Pending, a worker claims Pending->Running, finishes with
-   Done/Failed (a release store: the result fields written before it are
-   visible after the coordinator's acquire load), and the coordinator
-   retires Pending->Cancelled for windows no worker claimed in time. *)
-let st_pending = 0
-
-let st_running = 1
-let st_done = 2
-let st_failed = 3
-let st_cancelled = 4
-
-(* Effect log, stride 5: [kind; a; b; c; flags].
-     kind 0 (mem write):   a=addr, c=value
-     kind 1 (file write):  a=file, b=off, c=value
-   Flag bits carry the worker's copy-on-write prediction for the undo
-   notes this effect will fire when replayed: bit0 = the mem/file key is
-   a first touch, bit1 = the write grows the file, bit2 = the length key
-   is a first touch (only meaningful under bit1). *)
-let fl_first = 1
-
-let fl_grows = 2
-let fl_len_first = 4
-
-(* Read log, stride 4: [kind; a; b; v].
-     kind 0: base memory word   (a=addr,        v=value seen)
-     kind 1: base file word     (a=file, b=off, v=value seen)
-     kind 2: base file length   (a=file,        v=length seen) *)
-let rd_mem = 0
-
-let rd_file = 1
-let rd_len = 2
-
-type window = {
-  w_id : int;
-  w_state : int Atomic.t;
-  (* inputs, immutable once published *)
-  w_tid : int;
-  w_proc : Vm.Isa.proc;
-  w_pc0 : int;
-  w_regs0 : int array;  (* private copy *)
-  w_in_cpr0 : bool;
-  w_delay : int;  (* engine-pending delay folded into the first step *)
-  w_hrel : int;  (* worker's own stop bound, relative to dispatch time *)
-  w_mem : Vm.Mem.t;
-  w_io : Vm.Io.t;
-  w_costs : Vm.Costs.t;
-  w_blocks : Vm.Block.t;
-  w_undo : Undo_log.t option;  (* cow-prediction source, probed read-only *)
-  w_bail_on_grow : bool;  (* file growth would append to a WAL: bail *)
-  w_compiling : bool;
-  (* outputs, written by the worker before the Done store *)
-  mutable w_steps : int;
-  mutable w_pc_end : int;
-  mutable w_in_cpr_end : bool;
-  mutable w_regs_end : int array;
-  mutable w_d0 : int;  (* first step's ctrl + duration, before the delay *)
-  mutable w_vend_rel : int;  (* chain end time relative to dispatch time *)
-  mutable w_vpen_rel : int;  (* start time of the last committed step *)
-  mutable w_has_cells : bool;  (* some steps ran inside compiled traces *)
-  mutable w_hit_horizon : bool;
-  mutable w_opaques : int;
-  mutable w_last_opaque_in_cpr : bool;
-  mutable w_entered_cpr : bool;
-  mutable w_reads : int array;
-  mutable w_effects : int array;
-  (* profile replication (applied only under profiling at commit) *)
-  mutable w_ctrl : int;
-  mutable w_entry_lens : int array;  (* compiled-trace entries' step counts *)
-  mutable w_deopt_horizon : int;
-  mutable w_deopt_guard : int;
-}
-
-(* --- worker pool -------------------------------------------------------- *)
-
-(* LIFO: the newest lease is the one whose tick is farthest away, i.e.
-   the one a worker has the best chance of finishing before its commit
-   point; older entries are increasingly likely to be stale (replaced or
-   cancelled) and cost a claimed-CAS skip at most. *)
-type pool = {
-  p_mutex : Mutex.t;
-  p_cond : Condition.t;
-  mutable p_stack : window list;
-  mutable p_len : int;
-  mutable p_workers : int;
-  mutable p_quit : bool;
-  mutable p_doms : unit Domain.t list;
-}
-
-let the_pool =
-  { p_mutex = Mutex.create (); p_cond = Condition.create ();
-    p_stack = []; p_len = 0; p_workers = 0; p_quit = false; p_doms = [] }
-
-(* One run at a time drives the pool; a loser here (e.g. a second
-   simulation inside Analysis.Pool) runs sequentially, which the
-   determinism contract makes invisible. Declared beside the pool
-   because the idle watchdog below reads it to tell "parked between
-   runs" from "parked mid-session". *)
-let pool_busy = Atomic.make false
-
-(* [None] tells the worker to exit (a {!quiesce} is in progress). *)
-let pool_take p =
-  Mutex.lock p.p_mutex;
-  while p.p_stack = [] && not p.p_quit do
-    Condition.wait p.p_cond p.p_mutex
-  done;
-  if p.p_quit then begin
-    p.p_workers <- p.p_workers - 1;
-    Mutex.unlock p.p_mutex;
-    None
-  end
-  else begin
-    let w = List.hd p.p_stack in
-    p.p_stack <- List.tl p.p_stack;
-    p.p_len <- p.p_len - 1;
-    Mutex.unlock p.p_mutex;
-    Some w
-  end
-
-let pool_put p w =
-  Mutex.lock p.p_mutex;
-  p.p_stack <- w :: p.p_stack;
-  p.p_len <- p.p_len + 1;
-  Condition.signal p.p_cond;
-  Mutex.unlock p.p_mutex
-
-(* Racy read from the coordinator — a heuristic only, so staleness is
-   fine: it gates which hops get offered, never how a window commits. *)
-let pool_depth p = p.p_len
-
-(* --- the worker-side interpreter ---------------------------------------- *)
-
-exception Bail
-
-(* Growable int buffer; contents copied out exact-sized at publish. *)
-module Buf = struct
-  type t = { mutable a : int array; mutable n : int }
-
-  let create () = { a = Array.make 256 0; n = 0 }
-  let reset b = b.n <- 0
-
-  let push4 b x0 x1 x2 x3 =
-    if b.n + 4 > Array.length b.a then begin
-      let a' = Array.make (2 * Array.length b.a) 0 in
-      Array.blit b.a 0 a' 0 b.n;
-      b.a <- a'
-    end;
-    b.a.(b.n) <- x0;
-    b.a.(b.n + 1) <- x1;
-    b.a.(b.n + 2) <- x2;
-    b.a.(b.n + 3) <- x3;
-    b.n <- b.n + 4
-
-  let push5 b x0 x1 x2 x3 x4 =
-    if b.n + 5 > Array.length b.a then begin
-      let a' = Array.make (2 * Array.length b.a) 0 in
-      Array.blit b.a 0 a' 0 b.n;
-      b.a <- a'
-    end;
-    b.a.(b.n) <- x0;
-    b.a.(b.n + 1) <- x1;
-    b.a.(b.n + 2) <- x2;
-    b.a.(b.n + 3) <- x3;
-    b.a.(b.n + 4) <- x4;
-    b.n <- b.n + 5
-
-  let contents b = Array.sub b.a 0 b.n
-end
-
-(* Caps keep a garbage-driven speculation (a racy base read can send a
-   cost closure anywhere) from pinning a worker; hitting one bails the
-   window, which is just a sequential hop. *)
-let max_window_steps = 16_384
-
-let max_log_words = 1 lsl 18
-
-(* Per-worker scratch reused across windows (a worker runs one window at
-   a time; results are copied out before the next claim). *)
-type scratch = {
-  s_reads : Buf.t;
-  s_effects : Buf.t;
-  s_entries : Buf.t;  (* per-trace-entry step counts, stride 4 (padded) *)
-  s_mem_ov : (int, int) Hashtbl.t;  (* addr -> value (reads and writes) *)
-  s_fval : (int * int, int) Hashtbl.t;  (* (file, off) -> value *)
-  s_flen : (int, int) Hashtbl.t;  (* file -> shadow length *)
-  s_seen : (Undo_log.key, unit) Hashtbl.t;  (* predicted undo notes *)
-}
-
-let make_scratch () =
-  {
-    s_reads = Buf.create ();
-    s_effects = Buf.create ();
-    s_entries = Buf.create ();
-    s_mem_ov = Hashtbl.create 256;
-    s_fval = Hashtbl.create 64;
-    s_flen = Hashtbl.create 8;
-    s_seen = Hashtbl.create 256;
-  }
-
-let scratch_reset s =
-  Buf.reset s.s_reads;
-  Buf.reset s.s_effects;
-  Buf.reset s.s_entries;
-  Hashtbl.reset s.s_mem_ov;
-  Hashtbl.reset s.s_fval;
-  Hashtbl.reset s.s_flen;
-  Hashtbl.reset s.s_seen
-
-(* Execute the window's whole hop — fetch prefix, first landing, fused
-   chain, compiled traces included — against scratch state, mirroring
-   [Baseline.dispatch]+[Fuse.run_chain] step for step. Base state is read
-   racily (the coordinator keeps running); every observation is logged
-   for commit-time validation, so a torn view can cost a squash but
-   never correctness. *)
-let execute (w : window) (s : scratch) =
-  scratch_reset s;
-  let costs = w.w_costs in
-  let tcb =
-    Vm.Tcb.create ~n_barriers:0 ~tid:w.w_tid ~group:0 ~proc:w.w_proc
-      ~args:w.w_regs0
-  in
-  tcb.Vm.Tcb.pc <- w.w_pc0;
-  tcb.Vm.Tcb.in_cpr_region <- w.w_in_cpr0;
-  let entered_cpr = ref false in
-  let acc = ref 0 in
-  let charge c = acc := !acc + c in
-  (* predicted first-touch of an undo note the replay will fire *)
-  let pred_first key =
-    match w.w_undo with
-    | None -> false
-    | Some log ->
-      if Hashtbl.mem s.s_seen key then false
-      else begin
-        Hashtbl.add s.s_seen key ();
-        not (Undo_log.mem log key)
-      end
-  in
-  let shadow_len f =
-    match Hashtbl.find_opt s.s_flen f with
-    | Some l -> l
-    | None ->
-      let l = Vm.Io.size w.w_io f in
-      Hashtbl.add s.s_flen f l;
-      Buf.push4 s.s_reads rd_len f 0 l;
-      l
-  in
-  let over_budget () =
-    s.s_reads.Buf.n + s.s_effects.Buf.n > max_log_words
-  in
-  let env =
-    {
-      Vm.Env.tid = w.w_tid;
-      regs = tcb.Vm.Tcb.regs;
-      read =
-        (fun a ->
-          charge costs.Vm.Costs.mem_access;
-          match Hashtbl.find_opt s.s_mem_ov a with
-          | Some v -> v
-          | None ->
-            let v = Vm.Mem.read w.w_mem a in
-            Hashtbl.add s.s_mem_ov a v;
-            Buf.push4 s.s_reads rd_mem a 0 v;
-            if over_budget () then raise Bail;
-            v);
-      write =
-        (fun a v ->
-          charge costs.Vm.Costs.mem_access;
-          if a < 0 || a >= Vm.Mem.words w.w_mem then raise Bail;
-          let fl = if pred_first (Undo_log.K_mem a) then fl_first else 0 in
-          if fl <> 0 then charge costs.Vm.Costs.cow_first_write;
-          Buf.push5 s.s_effects 0 a 0 v fl;
-          Hashtbl.replace s.s_mem_ov a v;
-          if over_budget () then raise Bail);
-      file_size = (fun f -> shadow_len f);
-      file_read =
-        (fun f ~off ->
-          charge costs.Vm.Costs.io_per_word;
-          if off < 0 then raise Bail;
-          match Hashtbl.find_opt s.s_fval (f, off) with
-          | Some v -> v
-          | None ->
-            let len = shadow_len f in
-            if off >= len then 0
-            else begin
-              let v = Vm.Io.read w.w_io f ~off in
-              Hashtbl.add s.s_fval (f, off) v;
-              Buf.push4 s.s_reads rd_file f off v;
-              if over_budget () then raise Bail;
-              v
-            end);
-      file_write =
-        (fun f ~off v ->
-          charge costs.Vm.Costs.io_per_word;
-          if off < 0 then raise Bail;
-          let len = shadow_len f in
-          let fl = ref 0 in
-          if off >= len then begin
-            (* Growth fires the engine's I/O hook (a WAL append under
-               GPRS, and with it a possible crash point): not ours to
-               speculate past. *)
-            if w.w_bail_on_grow then raise Bail;
-            fl := !fl lor fl_grows;
-            if pred_first (Undo_log.K_file_len f) then begin
-              fl := !fl lor fl_len_first;
-              charge costs.Vm.Costs.cow_first_write
-            end;
-            Hashtbl.replace s.s_flen f (off + 1)
-          end;
-          if pred_first (Undo_log.K_file (f, off)) then begin
-            fl := !fl lor fl_first;
-            charge costs.Vm.Costs.cow_first_write
-          end;
-          Buf.push5 s.s_effects 1 f off v !fl;
-          Hashtbl.replace s.s_fval (f, off) v;
-          if over_budget () then raise Bail);
-    }
-  in
-  let take_acc () =
-    let c = !acc in
-    acc := 0;
-    c
-  in
-  (* --- fetch prefix + first landing, as the engines' fetch loops --- *)
-  let ctrl_total = ref 0 in
-  let ctrl0 = ref 0 in
-  let code = w.w_proc.Vm.Isa.code in
-  let n_code = Array.length code in
-  let rec fetch () =
-    if tcb.Vm.Tcb.pc < 0 || tcb.Vm.Tcb.pc >= n_code then raise Bail
-    else
-      match code.(tcb.Vm.Tcb.pc) with
-      | Vm.Isa.Goto target ->
-        tcb.Vm.Tcb.pc <- target;
-        incr ctrl0;
-        fetch ()
-      | Vm.Isa.If { cond; target } ->
-        tcb.Vm.Tcb.pc <-
-          (if cond tcb.Vm.Tcb.regs then target else tcb.Vm.Tcb.pc + 1);
-        incr ctrl0;
-        fetch ()
-      | Vm.Isa.Cpr_begin ->
-        tcb.Vm.Tcb.in_cpr_region <- true;
-        entered_cpr := true;
-        tcb.Vm.Tcb.pc <- tcb.Vm.Tcb.pc + 1;
-        incr ctrl0;
-        fetch ()
-      | Vm.Isa.Cpr_end ->
-        tcb.Vm.Tcb.in_cpr_region <- false;
-        tcb.Vm.Tcb.pc <- tcb.Vm.Tcb.pc + 1;
-        incr ctrl0;
-        fetch ()
-      | i -> i
-  in
-  let first = fetch () in
-  ctrl_total := !ctrl0;
-  let steps = ref 0 in
-  let opaques = ref 0 in
-  let last_opaque_in_cpr = ref false in
-  let exec_landing cost run opaque =
-    let declared = cost tcb.Vm.Tcb.regs in
-    run env;
-    let d = declared + take_acc () in
-    let d = if d < Sem.min_cost then Sem.min_cost else d in
-    incr steps;
-    if opaque then begin
-      incr opaques;
-      last_opaque_in_cpr := tcb.Vm.Tcb.in_cpr_region
-    end;
-    d
-  in
-  let d0 =
-    match first with
-    | Vm.Isa.Work { cost; run } -> (
-      tcb.Vm.Tcb.pc <- tcb.Vm.Tcb.pc + 1;
-      exec_landing cost run false)
-    | Vm.Isa.Opaque { cost; run } ->
-      tcb.Vm.Tcb.pc <- tcb.Vm.Tcb.pc + 1;
-      exec_landing cost run true
-    | _ -> raise Bail (* lease pre-probed a fusible landing *)
-  in
-  w.w_d0 <- !ctrl0 + d0;
-  let vnow = ref (Stdlib.max Sem.min_cost (!ctrl0 + d0 + w.w_delay)) in
-  (* --- fused chain, mirroring Fuse.run_chain ----------------------- *)
-  let hit_horizon = ref false in
-  let vpen = ref 0 in
-  let has_cells = ref false in
-  let stop = ref false in
-  let info =
-    if w.w_compiling then Some (Vm.Block.proc_info w.w_blocks w.w_proc)
-    else None
-  in
-  let cursor =
-    if info = None then None
-    else Some (Vm.Block.make_cursor ~tcb ~env ~take_acc)
-  in
-  let interpret_one () =
-    let pr =
-      Vm.Block.probe_ctrl w.w_proc ~pc:tcb.Vm.Tcb.pc ~regs:tcb.Vm.Tcb.regs
-        ~in_cpr:tcb.Vm.Tcb.in_cpr_region
-    in
-    match Vm.Block.landing w.w_proc pr with
-    | Some (Vm.Isa.Work { cost; run }) when !vnow < w.w_hrel ->
-      tcb.Vm.Tcb.pc <- pr.Vm.Block.p_pc + 1;
-      tcb.Vm.Tcb.in_cpr_region <- pr.Vm.Block.p_in_cpr;
-      if pr.Vm.Block.p_entered_cpr then entered_cpr := true;
-      ctrl_total := !ctrl_total + pr.Vm.Block.p_ctrl;
-      vpen := !vnow;
-      let d = exec_landing cost run false in
-      vnow := !vnow + pr.Vm.Block.p_ctrl + d
-    | Some (Vm.Isa.Opaque { cost; run }) when !vnow < w.w_hrel ->
-      tcb.Vm.Tcb.pc <- pr.Vm.Block.p_pc + 1;
-      tcb.Vm.Tcb.in_cpr_region <- pr.Vm.Block.p_in_cpr;
-      if pr.Vm.Block.p_entered_cpr then entered_cpr := true;
-      ctrl_total := !ctrl_total + pr.Vm.Block.p_ctrl;
-      vpen := !vnow;
-      let d = exec_landing cost run true in
-      vnow := !vnow + pr.Vm.Block.p_ctrl + d
-    | Some (Vm.Isa.Work _ | Vm.Isa.Opaque _) ->
-      hit_horizon := true;
-      stop := true
-    | _ -> stop := true
-  in
-  let check_caps () =
-    (* A fusible landing is still pending, so this is a horizon-style
-       stop, not a natural one; the commit rule sorts it out. *)
-    if !steps >= max_window_steps then begin
-      hit_horizon := true;
-      stop := true
-    end
-  in
-  let deopt_horizon = ref 0 in
-  let deopt_guard = ref 0 in
-  while not !stop do
-    check_caps ();
-    if !stop then ()
-    else
-    match info with
-    | None -> interpret_one ()
-    | Some info -> (
-      match Vm.Block.trace_at info tcb.Vm.Tcb.pc with
-      | None -> interpret_one ()
-      | Some cell ->
-        let cu = Option.get cursor in
-        cu.Vm.Block.cu_vnow <- !vnow;
-        cu.Vm.Block.cu_horizon <- w.w_hrel;
-        cu.Vm.Block.cu_steps <- 0;
-        cu.Vm.Block.cu_ctrl <- 0;
-        cu.Vm.Block.cu_opaques <- 0;
-        cu.Vm.Block.cu_entered_cpr <- false;
-        Vm.Block.enter cell cu;
-        let tsteps = cu.Vm.Block.cu_steps in
-        if tsteps > 0 then begin
-          has_cells := true;
-          vnow := cu.Vm.Block.cu_vnow;
-          steps := !steps + tsteps;
-          ctrl_total := !ctrl_total + cu.Vm.Block.cu_ctrl;
-          if cu.Vm.Block.cu_opaques > 0 then begin
-            opaques := !opaques + cu.Vm.Block.cu_opaques;
-            last_opaque_in_cpr := cu.Vm.Block.cu_opaque_in_cpr
-          end;
-          if cu.Vm.Block.cu_entered_cpr then entered_cpr := true;
-          Buf.push4 s.s_entries tsteps cu.Vm.Block.cu_opaques 0 0
-        end;
-        (match cu.Vm.Block.cu_deopt with
-        | Vm.Block.Horizon ->
-          incr deopt_horizon;
-          hit_horizon := true;
-          stop := true
-        | Vm.Block.Guard_fail ->
-          incr deopt_guard;
-          interpret_one ()
-        | Vm.Block.Trace_end -> if tsteps = 0 then interpret_one ()))
-  done;
-  (* --- publish ------------------------------------------------------ *)
-  w.w_steps <- !steps;
-  w.w_pc_end <- tcb.Vm.Tcb.pc;
-  w.w_in_cpr_end <- tcb.Vm.Tcb.in_cpr_region;
-  w.w_regs_end <- Array.copy tcb.Vm.Tcb.regs;
-  w.w_vend_rel <- !vnow;
-  w.w_vpen_rel <- !vpen;
-  w.w_has_cells <- !has_cells;
-  w.w_hit_horizon <- !hit_horizon;
-  w.w_opaques <- !opaques;
-  w.w_last_opaque_in_cpr <- !last_opaque_in_cpr;
-  w.w_entered_cpr <- !entered_cpr;
-  w.w_reads <- Buf.contents s.s_reads;
-  w.w_effects <- Buf.contents s.s_effects;
-  w.w_ctrl <- !ctrl_total;
-  w.w_entry_lens <- Buf.contents s.s_entries;
-  w.w_deopt_horizon <- !deopt_horizon;
-  w.w_deopt_guard <- !deopt_guard
-
-let worker_main () =
-  let s = make_scratch () in
-  let rec loop () =
-    match pool_take the_pool with
-    | None -> ()
-    | Some w ->
-      if Atomic.compare_and_set w.w_state st_pending st_running then begin
-        match execute w s with
-        | () -> Atomic.set w.w_state st_done
-        | exception _ -> Atomic.set w.w_state st_failed
-      end;
-      loop ()
-  in
-  loop ()
-
-let ensure_workers_unlocked n =
-  Mutex.lock the_pool.p_mutex;
-  the_pool.p_quit <- false;
-  while the_pool.p_workers < n do
-    the_pool.p_doms <- Domain.spawn worker_main :: the_pool.p_doms;
-    the_pool.p_workers <- the_pool.p_workers + 1
-  done;
-  Mutex.unlock the_pool.p_mutex
-
-(* Even a worker parked in [Condition.wait] participates in every
-   stop-the-world collection, taxing whatever single-domain work runs
-   next in the process (measured ~1.5x on allocation-heavy rows). Long
-   sequential phases — the bench harness after its parallel section —
-   tear the pool down rather than pay that. Must not race an active
-   session; the single coordinator calls it between runs. *)
-let quiesce_unlocked () =
-  Mutex.lock the_pool.p_mutex;
-  the_pool.p_quit <- true;
-  the_pool.p_stack <- [];
-  the_pool.p_len <- 0;
-  let doms = the_pool.p_doms in
-  the_pool.p_doms <- [];
-  Condition.broadcast the_pool.p_cond;
-  Mutex.unlock the_pool.p_mutex;
-  List.iter Domain.join doms
-
-(* --- idle auto-quiesce --------------------------------------------------- *)
-
-(* Serializes pool lifecycle transitions — worker spawn, quiesce, the
-   watchdog's idle check — against each other; never taken on the window
-   hot path. [pool_busy] is CASed {e before} a starting session reaches
-   [ensure_workers], so a watchdog that observes it false while holding
-   this mutex knows any racing [start] is blocked here until the quiesce
-   finishes, after which that start respawns a fresh pool. *)
-let lifecycle = Mutex.create ()
-
-let idle_ms =
-  ref
-    (match Sys.getenv_opt "GPRS_PAR_IDLE_MS" with
-    | Some s -> ( try Stdlib.max 0 (int_of_string (String.trim s)) with _ -> 0)
-    | None -> 0)
-
-(* Host time of the last lifecycle event (worker spawn, session stop).
-   Written without [lifecycle] from [stop]; a stale read only delays the
-   watchdog by one period, never breaks it. *)
-let last_activity = ref 0.
-
-let touch () = last_activity := Unix.gettimeofday ()
-let watchdog_live = ref false (* under [lifecycle] *)
-
-let workers_live () =
-  Mutex.lock the_pool.p_mutex;
-  let w = the_pool.p_workers in
-  Mutex.unlock the_pool.p_mutex;
-  w
-
-(* A systhread, not a domain: it spends its life in [Thread.delay], and
-   unlike a parked domain it does not participate in stop-the-world
-   collections, so the watchdog itself costs none of the tax it exists
-   to remove. It exits after quiescing (or when disabled); the next
-   worker spawn starts a fresh one. *)
-let rec watchdog_loop () =
-  let ms = Stdlib.max 1 !idle_ms in
-  Thread.delay (Stdlib.max 0.005 (float_of_int ms /. 4000.));
-  Mutex.lock lifecycle;
-  let ms = !idle_ms in
-  if ms <= 0 || workers_live () = 0 then begin
-    watchdog_live := false;
-    Mutex.unlock lifecycle
-  end
-  else begin
-    if
-      (not (Atomic.get pool_busy))
-      && (Unix.gettimeofday () -. !last_activity) *. 1000. >= float_of_int ms
-    then quiesce_unlocked ();
-    if workers_live () = 0 then begin
-      watchdog_live := false;
-      Mutex.unlock lifecycle
-    end
-    else begin
-      Mutex.unlock lifecycle;
-      watchdog_loop ()
-    end
-  end
-
-let maybe_spawn_watchdog_locked () =
-  if !idle_ms > 0 && workers_live () > 0 && not !watchdog_live then begin
-    watchdog_live := true;
-    ignore (Thread.create watchdog_loop ())
-  end
-
-let ensure_workers n =
-  Mutex.lock lifecycle;
-  touch ();
-  ensure_workers_unlocked n;
-  maybe_spawn_watchdog_locked ();
-  Mutex.unlock lifecycle
-
-let quiesce () =
-  Mutex.lock lifecycle;
-  quiesce_unlocked ();
-  Mutex.unlock lifecycle
-
-let set_idle_timeout_ms n =
-  Mutex.lock lifecycle;
-  idle_ms := Stdlib.max 0 n;
-  touch ();
-  maybe_spawn_watchdog_locked ();
-  Mutex.unlock lifecycle
-
-let idle_timeout_ms () = !idle_ms
-
-(* --- sessions ----------------------------------------------------------- *)
-
-type session = {
-  s_slots : (int, window) Hashtbl.t;  (* thread id -> pending window *)
-  mutable s_next_id : int;
-}
-
-let start (st : 'ev State.t) =
-  let n = effective_jobs () in
-  if
-    n > 1
-    && Vm.Block.fusing ()
-    && st.State.tsan = None
-    && Atomic.compare_and_set pool_busy false true
-  then begin
-    ensure_workers (n - 1);
-    ignore st;
-    Some { s_slots = Hashtbl.create 64; s_next_id = 0 }
-  end
-  else None
-
-let stop = function
-  | None -> ()
-  | Some s ->
-    Hashtbl.iter
-      (fun _ w ->
-        ignore (Atomic.compare_and_set w.w_state st_pending st_cancelled))
-      s.s_slots;
-    Hashtbl.reset s.s_slots;
-    touch ();
-    Atomic.set pool_busy false
-
-(* --- lease -------------------------------------------------------------- *)
-
-let pincr st k =
-  if !Vm.Block.profiling then Sim.Stats.incr st.State.stats k
-
-(* Below this much horizon room a window is all commit overhead. *)
-let min_horizon_room = 4
-
-let lease sopt (st : 'ev State.t) (tcb : Vm.Tcb.t) ~undo ~delay ~hrel =
-  match sopt with
-  | None -> ()
-  | Some s ->
-    let tid = tcb.Vm.Tcb.tid in
-    (* replace any stale lease for this thread *)
-    (match Hashtbl.find_opt s.s_slots tid with
-    | Some old ->
-      ignore (Atomic.compare_and_set old.w_state st_pending st_cancelled);
-      Hashtbl.remove s.s_slots tid
-    | None -> ());
-    (* Backpressure: every queued window a worker can't reach before its
-       tick fires is a guaranteed fallback plus queue churn, so decline
-       leases once the pool is saturated. [pool_depth] is a racy read,
-       which only affects which hops get offered, never how one commits. *)
-    if
-      hrel > min_horizon_room
-      && pool_depth the_pool <= 2 * the_pool.p_workers
-      && tcb.Vm.Tcb.wait = Vm.Tcb.Runnable
-    then begin
-      let pr =
-        Vm.Block.probe_ctrl tcb.Vm.Tcb.proc ~pc:tcb.Vm.Tcb.pc
-          ~regs:tcb.Vm.Tcb.regs ~in_cpr:tcb.Vm.Tcb.in_cpr_region
-      in
-      match Vm.Block.landing tcb.Vm.Tcb.proc pr with
-      | Some (Vm.Isa.Work _ | Vm.Isa.Opaque _) ->
-        let w =
-          {
-            w_id = s.s_next_id;
-            w_state = Atomic.make st_pending;
-            w_tid = tid;
-            w_proc = tcb.Vm.Tcb.proc;
-            w_pc0 = tcb.Vm.Tcb.pc;
-            w_regs0 = Array.copy tcb.Vm.Tcb.regs;
-            w_in_cpr0 = tcb.Vm.Tcb.in_cpr_region;
-            w_delay = delay;
-            w_hrel = hrel;
-            w_mem = st.State.mem;
-            w_io = st.State.io;
-            w_costs = st.State.costs;
-            w_blocks = st.State.blocks;
-            w_undo = undo;
-            w_bail_on_grow = st.State.on_io_grow <> None;
-            w_compiling = Vm.Block.compiling ();
-            w_steps = 0;
-            w_pc_end = 0;
-            w_in_cpr_end = false;
-            w_regs_end = [||];
-            w_d0 = 0;
-            w_vend_rel = 0;
-            w_vpen_rel = 0;
-            w_has_cells = false;
-            w_hit_horizon = false;
-            w_opaques = 0;
-            w_last_opaque_in_cpr = false;
-            w_entered_cpr = false;
-            w_reads = [||];
-            w_effects = [||];
-            w_ctrl = 0;
-            w_entry_lens = [||];
-            w_deopt_horizon = 0;
-            w_deopt_guard = 0;
-          }
-        in
-        s.s_next_id <- s.s_next_id + 1;
-        Hashtbl.replace s.s_slots tid w;
-        pool_put the_pool w;
-        if !Vm.Block.profiling then begin
-          Sim.Stats.incr st.State.stats "par.windows";
-          Sim.Stats.set_max st.State.stats "par.occupancy"
-            (Hashtbl.length s.s_slots)
-        end
-      | _ -> ()
-    end
-
-let cancel sopt ~tid =
-  match sopt with
-  | None -> ()
-  | Some s -> (
-    match Hashtbl.find_opt s.s_slots tid with
-    | None -> ()
-    | Some w ->
-      ignore (Atomic.compare_and_set w.w_state st_pending st_cancelled);
-      Hashtbl.remove s.s_slots tid)
-
-(* --- commit ------------------------------------------------------------- *)
-
-type committed = {
-  c_vend : int;
-  c_steps : int;
-  c_opaques : int;
-  c_last_opaque_in_cpr : bool;
-  c_entered_cpr : bool;
-}
-
-(* How long the coordinator is willing to poll a Running window before
-   giving up and running the hop itself. Workers overlap across
-   contexts, so a short wait usually buys a full hop of saved work; an
-   orphaned window is harmless (the worker parks its result in an
-   unreferenced record). *)
-let spin_polls = 200_000
-
-let rec await w polls =
-  let s = Atomic.get w.w_state in
-  if s = st_running && polls > 0 then begin
-    Domain.cpu_relax ();
-    await w (polls - 1)
-  end
-  else s
-
-(* Guards: everything the window baked in must still hold. The clock is
-   relative, so the only temporal question is whether the sequential
-   fused chain, started now against the engine's real [horizon], would
-   have committed exactly the window's steps and stopped where it
-   stopped. Sequentially a step runs iff the clock at its start is
-   before the horizon (the first landing is never checked), so:
-
-   - natural stop (the landing after the last step is not fusible):
-     valid iff every committed step started early enough. Interpreted
-     steps record the last start ([w_vpen_rel]); compiled cells check
-     per internal step whose starts we cannot see, so a window that ran
-     cells demands the whole chain fit under the horizon.
-   - horizon stop (a fusible landing was left pending): the sequential
-     chain must stop at the same step, i.e. the horizon must fall after
-     the last committed step's start and at or before the pending
-     step's start. Cells additionally hide their internal deopt point,
-     so a cell-running window only commits on a natural stop. *)
-let guards_ok (w : window) (st : 'ev State.t) (tcb : Vm.Tcb.t) ~horizon
-    ~vend ~vpen =
-  let t0 = State.now st in
-  w.w_tid = tcb.Vm.Tcb.tid
-  && tcb.Vm.Tcb.wait = Vm.Tcb.Runnable
-  && w.w_pc0 = tcb.Vm.Tcb.pc
-  && w.w_in_cpr0 = tcb.Vm.Tcb.in_cpr_region
-  && w.w_proc == tcb.Vm.Tcb.proc
-  && st.State.acc_cost = 0
-  && w.w_steps > 0
-  && (if w.w_hit_horizon then
-        (not w.w_has_cells)
-        && t0 + vpen < horizon
-        && horizon <= t0 + vend
-      else if w.w_has_cells then t0 + vend <= horizon
-      else t0 + vpen < horizon)
-  &&
-  let rec eq i =
-    i >= Array.length w.w_regs0
-    || (w.w_regs0.(i) = tcb.Vm.Tcb.regs.(i) && eq (i + 1))
-  in
-  eq 0
-
-(* Every base observation the worker computed with must still be the
-   coordinator's value. Logged before any window write to the same
-   location, so validating against current state is exact. *)
-let reads_valid (w : window) (st : 'ev State.t) =
-  let r = w.w_reads in
-  let n = Array.length r in
-  let rec go i =
-    i >= n
-    ||
-    let ok =
-      match r.(i) with
-      | k when k = rd_mem -> Vm.Mem.read st.State.mem r.(i + 1) = r.(i + 3)
-      | k when k = rd_file ->
-        Vm.Io.read st.State.io r.(i + 1) ~off:(r.(i + 2)) = r.(i + 3)
-      | _ -> Vm.Io.size st.State.io r.(i + 1) = r.(i + 3)
-    in
-    ok && go (i + 4)
-  in
-  go 0
-
-(* Re-run the worker's copy-on-write prediction against the real undo
-   log, read-only: the replay below must fire exactly the first-touch
-   charges the worker folded into its step durations, or the committed
-   clock would drift from the sequential one. *)
-let cow_valid (w : window) (st : 'ev State.t) =
-  let undo = st.State.current_undo in
-  let seen : (Undo_log.key, unit) Hashtbl.t = Hashtbl.create 64 in
-  let lens : (int, int) Hashtbl.t = Hashtbl.create 4 in
-  let first_of key =
-    match undo with
-    | None -> false
-    | Some log ->
-      if Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        not (Undo_log.mem log key)
-      end
-  in
-  let e = w.w_effects in
-  let n = Array.length e in
-  let rec go i =
-    i >= n
-    ||
-    let fl = e.(i + 4) in
-    let ok =
-      if e.(i) = 0 then
-        first_of (Undo_log.K_mem e.(i + 1)) = (fl land fl_first <> 0)
-      else begin
-        let f = e.(i + 1) and off = e.(i + 2) in
-        let len =
-          match Hashtbl.find_opt lens f with
-          | Some l -> l
-          | None -> Vm.Io.size st.State.io f
-        in
-        let grows = off >= len in
-        grows = (fl land fl_grows <> 0)
-        && (if grows then begin
-              let lf = first_of (Undo_log.K_file_len f) in
-              Hashtbl.replace lens f (off + 1);
-              lf = (fl land fl_len_first <> 0)
-            end
-            else true)
-        && first_of (Undo_log.K_file (f, off)) = (fl land fl_first <> 0)
-      end
-    in
-    ok && go (i + 5)
-  in
-  go 0
-
-(* Replay the effect log through the thread's real tracked environment:
-   same undo entries in the same order, same first-touch and I/O-grow
-   hooks, same stats, as if the closures had run here. The access-cycle
-   charges the env accrues are drained and dropped — the worker already
-   folded them into the step durations behind [w_vend_rel], exactly as
-   the sequential per-step [Sem.dur] would have. *)
-let apply (w : window) (st : 'ev State.t) (tcb : Vm.Tcb.t) ~instrs =
-  let env = State.env_of st tcb in
-  let e = w.w_effects in
-  let n = Array.length e in
-  let i = ref 0 in
-  while !i < n do
-    if e.(!i) = 0 then env.Vm.Env.write e.(!i + 1) e.(!i + 3)
-    else env.Vm.Env.file_write e.(!i + 1) ~off:(e.(!i + 2)) e.(!i + 3);
-    i := !i + 5
-  done;
-  ignore (State.take_acc_cost st);
-  Array.blit w.w_regs_end 0 tcb.Vm.Tcb.regs 0 (Array.length w.w_regs_end);
-  tcb.Vm.Tcb.pc <- w.w_pc_end;
-  tcb.Vm.Tcb.in_cpr_region <- w.w_in_cpr_end;
-  instrs := !instrs + w.w_steps;
-  if !Vm.Block.profiling then begin
-    let stats = st.State.stats in
-    Vm.Block.profile_ctrl stats w.w_ctrl;
-    let works = w.w_steps - w.w_opaques in
-    if works > 0 then Sim.Stats.add stats "dispatch.work" works;
-    if w.w_opaques > 0 then Sim.Stats.add stats "dispatch.opaque" w.w_opaques;
-    let el = w.w_entry_lens in
-    let j = ref 0 in
-    while !j < Array.length el do
-      Sim.Stats.incr stats "compile.entries";
-      Sim.Stats.add stats "compile.steps" el.(!j);
-      Sim.Stats.observe stats "compile.len" (float_of_int el.(!j));
-      j := !j + 4
-    done;
-    if w.w_deopt_horizon > 0 then
-      Sim.Stats.add stats "compile.deopt.horizon" w.w_deopt_horizon;
-    if w.w_deopt_guard > 0 then
-      Sim.Stats.add stats "compile.deopt.guard" w.w_deopt_guard;
-    Vm.Block.profile_hop stats w.w_steps
-  end
-
-let commit sopt (st : 'ev State.t) (tcb : Vm.Tcb.t) ~horizon ~delay ~instrs
-    =
-  match sopt with
-  | None -> None
-  | Some s -> (
-    match Hashtbl.find_opt s.s_slots tcb.Vm.Tcb.tid with
-    | None -> None
-    | Some w ->
-      Hashtbl.remove s.s_slots tcb.Vm.Tcb.tid;
-      (* Fault seam: a skipped commit discards the window and takes the
-         sequential fallback — bit-identical by construction, which is
-         exactly what the scenario driver pins. *)
-      let skip_commit =
-        match Faults.Points.sample Faults.Points.Window_commit with
-        | Some Faults.Points.Skip_fire -> true
-        | Some _ | None -> false
-      in
-      if Atomic.compare_and_set w.w_state st_pending st_cancelled then begin
-        pincr st "par.fallback";
-        None
-      end
-      else begin
-        match await w spin_polls with
-        | a when a = st_done && skip_commit ->
-          pincr st "par.fallback";
-          None
-        | a when a = st_done ->
-          (* The engine-pending delay may have moved since the lease (a
-             work-steal fill charges the thief). It shifts every step's
-             clock uniformly — except across the first step's min-cost
-             clamp — so re-derive the window's end times for the delay
-             the dispatch is actually folding in. *)
-          let vstart_leased =
-            Stdlib.max Sem.min_cost (w.w_d0 + w.w_delay)
-          in
-          let vstart_actual = Stdlib.max Sem.min_cost (w.w_d0 + delay) in
-          let shift = vstart_actual - vstart_leased in
-          let vend = w.w_vend_rel + shift in
-          let vpen = if w.w_steps <= 1 then 0 else w.w_vpen_rel + shift in
-          if
-            guards_ok w st tcb ~horizon ~vend ~vpen
-            && reads_valid w st && cow_valid w st
-          then begin
-            apply w st tcb ~instrs;
-            pincr st "par.committed";
-            Some
-              {
-                c_vend = State.now st + vend;
-                c_steps = w.w_steps;
-                c_opaques = w.w_opaques;
-                c_last_opaque_in_cpr = w.w_last_opaque_in_cpr;
-                c_entered_cpr = w.w_entered_cpr;
-              }
-          end
-          else begin
-            pincr st "par.squashed";
-            pincr st "par.fallback";
-            None
-          end
-        | _ ->
-          (* still running after the spin, or the worker bailed *)
-          pincr st "par.fallback";
-          None
-      end)
+(** Every run dispatches sequentially on one domain. [jobs] exists only
+    because the benchmark harness records it; it always returns 1. *)
+let jobs () = 1

@@ -37,11 +37,6 @@ let note t key ~old =
     else false
   | _ -> note_entry t key ~old
 
-let mem t key =
-  match t.paged, key with
-  | Some m, K_mem a -> Vm.Mem.touched m a
-  | _ -> Hashtbl.mem t.seen key
-
 let reset t =
   t.entries <- [];
   (* [clear], not [reset]: keep the bucket array so a recycled log does

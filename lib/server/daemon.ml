@@ -8,9 +8,8 @@
    systhreads (they spend their lives blocked in accept/read and take no
    part in stop-the-world collections); simulation runs execute on the
    shared pool's domains. A housekeeping systhread quiesces the pool
-   after an idle period, and Exec.Par's own idle watchdog does the same
-   for speculative-window workers — so a warm-but-idle daemon holds no
-   parked domains and pays no STW tax when the next burst arrives. *)
+   after an idle period, so a warm-but-idle daemon holds no parked
+   domains and pays no STW tax when the next burst arrives. *)
 
 type addr = Tcp of int | Unix_sock of string
 
@@ -19,7 +18,7 @@ type config = {
   jobs : int;  (* pool worker domains for concurrent requests *)
   depth : int;  (* admission bound: queued-or-running groups *)
   cache_capacity : int;
-  idle_quiesce_ms : int;  (* 0 disables both idle watchdogs *)
+  idle_quiesce_ms : int;  (* 0 disables the idle watchdog *)
   allow_fault : bool;  (* expose the fault-injection verb *)
 }
 
@@ -376,7 +375,6 @@ let stats_json t =
       ("fault_points", Json.Int (Faults.Points.armed_count ()));
       ("pool_workers", Json.Int (Analysis.Pool.shared_workers t.pool));
       ("pool_pending", Json.Int (Analysis.Pool.shared_pending t.pool));
-      ("par_workers", Json.Int (Exec.Par.workers_live ()));
       ("analyses", Json.Int (Vm.Block.analyses ()));
       ("jobs", Json.Int t.cfg.jobs);
       ("depth", Json.Int t.cfg.depth);
@@ -538,9 +536,8 @@ let acceptor t () =
   loop ()
 
 (* Idle housekeeping: once the daemon has been quiet for the configured
-   window, drain-join the shared pool's domains (Exec.Par's own watchdog
-   handles the speculative-window workers). The next burst respawns
-   both transparently. *)
+   window, drain-join the shared pool's domains. The next burst respawns
+   them transparently. *)
 let housekeeper t () =
   let period = float_of_int (Stdlib.max 20 t.cfg.idle_quiesce_ms) /. 4000. in
   let rec loop () =
@@ -565,8 +562,6 @@ let housekeeper t () =
 let start cfg =
   let leg = Leg.capture () in
   Leg.apply leg;
-  if cfg.idle_quiesce_ms > 0 then
-    Exec.Par.set_idle_timeout_ms cfg.idle_quiesce_ms;
   let listener, bound = listen_on cfg.addr in
   let t =
     {
@@ -616,7 +611,6 @@ let stop t =
     (* let in-flight work finish and reply, then join the domains *)
     Analysis.Pool.shared_wait t.pool;
     Analysis.Pool.shared_quiesce t.pool;
-    Exec.Par.quiesce ();
     Mutex.lock t.mutex;
     let conns = t.conns in
     t.conns <- [];

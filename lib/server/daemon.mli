@@ -28,8 +28,8 @@ type config = {
   depth : int;  (** admission bound: queued-or-running work units *)
   cache_capacity : int;  (** program-cache entries (LRU past it) *)
   idle_quiesce_ms : int;
-      (** join pool + speculative-window domains after this much idle
-          time (0 disables both idle watchdogs) *)
+      (** join pool domains after this much idle time (0 disables the
+          idle watchdog) *)
   allow_fault : bool;
       (** serve the ["fault"] verb ([serve --allow-fault-injection]);
           off by default — an armed point perturbs every request in the
@@ -49,7 +49,7 @@ val start : config -> t
 
 val stop : t -> unit
 (** Graceful stop: refuse new work, let in-flight requests finish and
-    reply, join pool and speculative-window domains, close connections.
+    reply, join pool domains, close connections.
     The listener is closed only after its acceptor thread is joined, and
     each connection is shut down for its reader to close, so no thread
     is left to use a descriptor number the process reuses. Idempotent. *)

@@ -32,21 +32,29 @@ let of_json j =
   let* interval = Json.float ~default:0.05 "interval" j in
   let* want_stats = Json.bool ~default:false "stats" j in
   match engine with
-  | "pthreads" | "cpr" | "gprs" ->
-    Ok
-      {
-        id;
-        workload;
-        engine;
-        ordering;
-        contexts;
-        scale;
-        grain;
-        seed;
-        rate;
-        interval;
-        want_stats;
-      }
+  | "pthreads" | "cpr" | "gprs" -> (
+    (* Nested rather than a tuple match: every request decodes here, and
+       the tuple would be allocated. *)
+    match Workloads.Workload.check_contexts contexts with
+    | Error m -> Error ("bad contexts: " ^ m)
+    | Ok () -> (
+      match Workloads.Workload.check_scale scale with
+      | Error m -> Error ("bad scale: " ^ m)
+      | Ok () ->
+        Ok
+          {
+            id;
+            workload;
+            engine;
+            ordering;
+            contexts;
+            scale;
+            grain;
+            seed;
+            rate;
+            interval;
+            want_stats;
+          }))
   | other -> Error (Printf.sprintf "unknown engine %S" other)
 
 let to_json s =

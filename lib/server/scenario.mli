@@ -21,7 +21,9 @@ type t = {
 
 val of_json : Json.t -> (t, string) result
 (** Decode a run request; every field except [workload] has the CLI's
-    default. Rejects unknown engines. *)
+    default. Rejects unknown engines, and [contexts]/[scale] outside the
+    workload builders' bounds ({!Workloads.Workload.check_contexts},
+    {!Workloads.Workload.check_scale}) with an error naming the field. *)
 
 val to_json : t -> Json.t
 (** Encode as a run request (includes ["op":"run"]). *)

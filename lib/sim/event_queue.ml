@@ -29,12 +29,6 @@ type 'a t = {
   mutable cells_recycled : int;
 }
 
-(* Recycling shares the pooled-hot-path kill switch with the sub-thread
-   pool: GPRS_NO_POOL=1 restores the allocating behaviour everywhere. *)
-let recycle_enabled = ref (Sys.getenv_opt "GPRS_NO_POOL" = None)
-let recycling () = !recycle_enabled
-let set_recycling b = recycle_enabled := b
-
 let max_free = 64
 
 let create () =
@@ -188,7 +182,7 @@ let rec pop q =
       q.live <- q.live - 1;
       q.clock <- top.time;
       let r = Some (top.time, top.payload) in
-      if !recycle_enabled && q.n_free < max_free then begin
+      if q.n_free < max_free then begin
         (* Invalidate outstanding handles, then park the record. *)
         top.gen <- top.gen + 1;
         q.free <- top :: q.free;
@@ -206,20 +200,3 @@ let rec peek_time q =
     peek_time q
   end
   else Some q.heap.(0).time
-
-(* O(heap) scan rather than a pop/re-push dance: callers use it once per
-   speculative lease to guess what [peek_time] will say after [h] fires,
-   and the heap holds a handful of per-context ticks plus a few timers. *)
-let next_time_excluding q (H (c, gen)) =
-  let best = ref max_int in
-  for i = 0 to q.size - 1 do
-    let cell = q.heap.(i) in
-    if
-      (not cell.cancelled)
-      (* [handle] packs its cell existentially; physical identity is the
-         only comparison needed, so unpack via [Obj.repr]. *)
-      && (not (Obj.repr cell == Obj.repr c && cell.gen = gen))
-      && cell.time < !best
-    then best := cell.time
-  done;
-  if !best = max_int then None else Some !best

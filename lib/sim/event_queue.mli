@@ -48,33 +48,19 @@ val heap_size : 'a t -> int
     cells; [length q <= heap_size q] always. For tests and
     diagnostics. *)
 
-val recycling : unit -> bool
-(** Whether popped cells are recycled through the per-queue free list
-    (module-wide switch; defaults to on unless GPRS_NO_POOL is set).
-    Recycling is invisible to pop order and to cancellation: a reused
-    cell is fully re-initialized, and handles are generation-stamped so
-    a stale handle can never cancel the cell's new occupant. *)
-
-val set_recycling : bool -> unit
-
 val cell_stats : 'a t -> int * int
 (** [(allocated, recycled)] cell counts for this queue: how many
-    [schedule] calls built a fresh record vs reused a popped one. *)
+    [schedule] calls built a fresh record vs reused a popped one. Popped
+    cells are always recycled through a small per-queue free list; this
+    is invisible to pop order and to cancellation, because a reused cell
+    is fully re-initialized and handles are generation-stamped, so a
+    stale handle can never cancel the cell's new occupant. *)
 
 val pop : 'a t -> (Time.cycles * 'a) option
 (** Removes and returns the earliest live event. [None] when empty. *)
 
 val peek_time : 'a t -> Time.cycles option
 (** Time of the earliest live event without removing it. *)
-
-val next_time_excluding : 'a t -> handle -> Time.cycles option
-(** Earliest live event time ignoring the event named by the handle —
-    what {!peek_time} will answer once that event has fired. Engines
-    leasing a speculative window at hop end use this to guess the
-    scheduling component of the {e next} hop's deopt horizon (the tick
-    they just scheduled is the excluded event); the guess is validated
-    against the real horizon at commit time. A stale or fired handle
-    excludes nothing. *)
 
 val now : 'a t -> Time.cycles
 (** Time of the last popped event (simulation clock); {!Time.zero}

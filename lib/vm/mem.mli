@@ -57,13 +57,6 @@ val touch : t -> addr -> bool
     {!capture}/{!restore_image}). Lets undo logs count unique dirtied
     words without materializing per-word entries. *)
 
-val touched : t -> addr -> bool
-(** Read-only membership probe for {!touch}: would a [touch] right now
-    return [false]?  Mutates nothing, so speculative executors may ask
-    it about another domain's memory to {e predict} first-touch charges
-    (a racy read of the epoch stamp; the prediction is re-verified on
-    the owner before it is believed). *)
-
 type image
 (** A page-granular snapshot of the data words, dirty-tracked: after the
     first (full) sync, re-syncing through {!capture} copies only pages

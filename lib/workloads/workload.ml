@@ -32,6 +32,13 @@ let digest_outputs (r : Exec.State.run_result) =
     r.Exec.State.outputs;
   Printf.sprintf "%016x" (!h land max_int)
 
+let check_contexts n =
+  if n >= 1 then Ok () else Error (Printf.sprintf "%d: need at least 1 context" n)
+
+let check_scale x =
+  if Float.is_finite x && x > 0. then Ok ()
+  else Error (Printf.sprintf "%g: need a finite scale > 0" x)
+
 let chunk_bounds ~total ~parts i =
   let base = total / parts and rem = total mod parts in
   let lo = (i * base) + Stdlib.min i rem in

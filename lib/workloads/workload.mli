@@ -27,6 +27,16 @@ type spec = {
   digest : Exec.State.run_result -> string;
 }
 
+val check_contexts : int -> (unit, string) result
+(** The bound every [build] needs on its context count: at least 1.
+    [Error] names the bad value, e.g. ["0: need at least 1 context"].
+    Front ends (the CLI converters, the daemon's request decoder) call
+    this and {!check_scale} so out-of-range input is refused at the
+    boundary rather than raising inside a builder. *)
+
+val check_scale : float -> (unit, string) result
+(** The bound on [build]'s input scale: finite and greater than 0. *)
+
 val digest_cells : Vm.Mem.t -> lo:int -> n:int -> string
 (** Helper: FNV-1a hash of [n] memory words starting at [lo]. *)
 

@@ -40,10 +40,7 @@ let observe digest (r : Exec.State.run_result) =
         (fun (k, _) ->
           (not (prefixed ~prefix:"fuse." k))
           && (not (prefixed ~prefix:"dispatch." k))
-          && (not (prefixed ~prefix:"compile." k))
-          (* Which hops commit from windows depends on host timing, so
-             the par.* counters are exempt from the determinism contract. *)
-          && not (prefixed ~prefix:"par." k))
+          && not (prefixed ~prefix:"compile." k))
         (Sim.Stats.to_assoc r.Exec.State.run_stats);
   }
 

@@ -36,8 +36,7 @@ let observe digest (r : Exec.State.run_result) =
       List.filter
         (fun (k, _) ->
           (not (prefixed ~prefix:"fuse." k))
-          && (not (prefixed ~prefix:"dispatch." k))
-          && not (prefixed ~prefix:"par." k))
+          && not (prefixed ~prefix:"dispatch." k))
         (Sim.Stats.to_assoc r.Exec.State.run_stats);
   }
 

@@ -41,6 +41,7 @@ let test_names () =
       | Some q -> checkb (Points.to_name p) true (p = q)
       | None -> Alcotest.fail ("name does not round-trip: " ^ Points.to_name p))
     Points.all;
+  checki "point count" 14 (List.length Points.all);
   checkb "unknown name" true (Points.of_name "bogus" = None)
 
 let test_arm_validation () =

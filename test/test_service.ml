@@ -1,12 +1,13 @@
 (* The daemon must be a transparent execution surface: a daemon-served
    run — cold cache or warm, coalesced or not — is bit-identical (digest,
-   cycles, DNC, every non-par stat) to the equivalent one-shot CLI run,
+   cycles, DNC, every stat) to the equivalent one-shot CLI run,
    for every workload x engine x fault leg. Plus the service plumbing
    itself: the JSON codec round-trips, the LRU cache evicts and
    deduplicates in-flight builds, the shared pool survives concurrent
    submitters and quiesce/respawn cycles, bounded admission sheds at a
    deterministic point, identical queued scenarios coalesce into one
-   execution, and both idle watchdogs release their domains. *)
+   execution, out-of-range build knobs are typed 400s, and the idle
+   watchdog releases the pool's domains. *)
 
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
@@ -223,12 +224,6 @@ let scenario ?(engine = "gprs") ?(rate = 0.0) ?(seed = 7) ~id ~workload () =
     want_stats = true;
   }
 
-(* par.* counters depend on host timing (see Exec.Par); everything else
-   must match bit-for-bit. *)
-let filter_par =
-  List.filter (fun (k, _) ->
-      not (String.length k >= 4 && String.sub k 0 4 = "par."))
-
 let stats_of_reply j =
   match J.member "stats" j with
   | Some (J.Obj fields) ->
@@ -288,8 +283,7 @@ let test_equivalence_sweep () =
                     (jint "races" j);
                   Alcotest.(check (list (pair string (float 0.0))))
                     (label "stats")
-                    (filter_par local.Server.Scenario.stats)
-                    (filter_par (stats_of_reply j)))
+                    local.Server.Scenario.stats (stats_of_reply j))
                 [ "cold"; "warm" ])
             [ 0.0; 60.0 ])
         [ "pthreads"; "cpr"; "gprs" ])
@@ -381,6 +375,52 @@ let test_protocol_errors () =
   in
   checks "unknown workload refused" "error" (jstr "event" bad_workload);
   checki "with 400" 400 (jint "code" bad_workload)
+
+(* Build knobs outside the workload builders' bounds are refused by the
+   request decoder with a 400 naming the field, before any builder can
+   raise on them. *)
+let test_bad_build_knobs () =
+  with_daemon @@ fun _d c ->
+  let base = scenario ~id:"k" ~workload:"histogram" () in
+  let refused what field scn =
+    let j = Server.Client.run_sync c scn in
+    checks (what ^ " refused") "error" (jstr "event" j);
+    checki (what ^ " is 400") 400 (jint "code" j);
+    let msg = jstr "error" j in
+    checkb
+      (Printf.sprintf "%s: error %S names %s" what msg field)
+      true
+      (String.starts_with ~prefix:("bad " ^ field ^ ":") msg)
+  in
+  List.iter
+    (fun n ->
+      refused (Printf.sprintf "contexts %d" n) "contexts"
+        { base with Server.Scenario.contexts = n })
+    [ 0; -3 ];
+  List.iter
+    (fun x ->
+      refused (Printf.sprintf "scale %g" x) "scale"
+        { base with Server.Scenario.scale = x })
+    [ -1.0; 0.0 ];
+  (* Non-finite scales reach the decoder as JSON floats: 1e999 parses
+     to infinity, and nan (which has no JSON spelling) can only arrive
+     already parsed. *)
+  let decode_scale what v =
+    checkb (what ^ " scale refused by the decoder") true
+      (match
+         Server.Scenario.of_json
+           (J.Obj [ ("workload", J.Str "histogram"); ("scale", v) ])
+       with
+      | Error m -> String.starts_with ~prefix:"bad scale:" m
+      | Ok _ -> false)
+  in
+  (match J.of_string {|{"scale":1e999}|} with
+  | Ok j -> decode_scale "1e999" (Option.get (J.member "scale" j))
+  | Error m -> Alcotest.fail ("1e999 did not parse: " ^ m));
+  decode_scale "nan" (J.Float Float.nan);
+  (* the daemon still serves a well-formed request afterwards *)
+  checks "valid run still served" "done"
+    (jstr "event" (Server.Client.run_sync c base))
 
 (* --- socket teardown ----------------------------------------------------- *)
 
@@ -493,37 +533,6 @@ let test_daemon_idle_quiesce () =
   in
   checks "post-quiesce run done" "done" (jstr "event" j2)
 
-let test_par_idle_quiesce () =
-  let saved_j = Exec.Par.jobs () in
-  let saved_ms = Exec.Par.idle_timeout_ms () in
-  Fun.protect ~finally:(fun () ->
-      Exec.Par.set_idle_timeout_ms saved_ms;
-      Exec.Par.set_jobs saved_j;
-      Exec.Par.quiesce ())
-  @@ fun () ->
-  Exec.Par.set_idle_timeout_ms 0;
-  Exec.Par.set_jobs 3;
-  let spec = Workloads.Suite.find "histogram" in
-  let program =
-    spec.Workloads.Workload.build ~n_contexts:4
-      ~grain:Workloads.Workload.Default ~scale:0.02
-  in
-  let run () =
-    ignore
-      (Gprs.Engine.run
-         { Gprs.Engine.default_config with n_contexts = 4; seed = 7 }
-         program)
-  in
-  run ();
-  checkb "window workers live after a -j 3 run" true
-    (Exec.Par.workers_live () > 0);
-  Exec.Par.set_idle_timeout_ms 40;
-  poll_until ~msg:"idle watchdog never joined the window workers" (fun () ->
-      Exec.Par.workers_live () = 0);
-  (* and they come back for the next run *)
-  run ();
-  checkb "workers respawn on demand" true (Exec.Par.workers_live () > 0)
-
 let suite =
   [
     Alcotest.test_case "json codec round-trips" `Quick test_json_roundtrip;
@@ -542,10 +551,10 @@ let suite =
       test_coalescing;
     Alcotest.test_case "protocol errors carry 4xx codes" `Quick
       test_protocol_errors;
+    Alcotest.test_case "out-of-range build knobs are typed 400s" `Quick
+      test_bad_build_knobs;
     Alcotest.test_case "daemon housekeeper joins the idle pool" `Quick
       test_daemon_idle_quiesce;
-    Alcotest.test_case "Par idle watchdog joins window workers" `Quick
-      test_par_idle_quiesce;
     Alcotest.test_case "client close ends its connection" `Quick
       test_client_close_ends_connection;
     Alcotest.test_case "daemon stop ends connections and listener" `Quick
