@@ -141,7 +141,10 @@ let print_experiments ~jobs ~quick =
    main domain — independent of the [-j] experiment pool. One warm-up run
    first: lazy program/table initialization would otherwise be charged to
    the first measurement. The simulator is deterministic, so minor_words
-   is too (promoted_words can wobble a little with minor-heap phase). *)
+   is too (promoted_words can wobble a little with minor-heap phase).
+   Minor words come from [Gc.minor_words], which reads the allocation
+   pointer: OCaml 5.1's [quick_stat] only advances its count at minor
+   collections, so a run smaller than the minor heap would read 0. *)
 let alloc_profile ~quick =
   let cfg = bench_cfg ~jobs:1 ~quick in
   let contexts = cfg.Analysis.Experiments.n_contexts in
@@ -150,14 +153,16 @@ let alloc_profile ~quick =
   let measure name ~scale f =
     ignore (f ());
     let s0 = Gc.quick_stat () in
+    let w0 = Gc.minor_words () in
     ignore (f ());
+    let w1 = Gc.minor_words () in
     let s1 = Gc.quick_stat () in
     entries :=
       {
         a_name = name;
         a_contexts = contexts;
         a_scale = scale;
-        a_minor_words = s1.Gc.minor_words -. s0.Gc.minor_words;
+        a_minor_words = w1 -. w0;
         a_promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;
       }
       :: !entries

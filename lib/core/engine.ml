@@ -231,14 +231,15 @@ let take_delay eng tid =
 (* Scheduling                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let on_ctx eng tid = Array.exists (fun o -> o = Some tid) eng.ctx_of
+let on_ctx eng tid =
+  Array.exists (function Some t -> t = tid | None -> false) eng.ctx_of
 
 let make_runnable eng ~ctx_hint tid =
   let queued = Tidtab.get eng.queued tid
   and on_c = on_ctx eng tid
   and destroyed = Tidtab.get eng.destroyed tid in
-  Sim.Trace.recordf eng.st.Exec.State.trace (now eng)
-    "make_runnable %d queued=%b on_ctx=%b destroyed=%b" tid queued on_c destroyed;
+  Sim.Trace.make_runnable eng.st.Exec.State.trace (now eng) ~tid ~queued
+    ~on_ctx:on_c ~destroyed;
   if (not queued) && (not on_c) && not destroyed then begin
     (* A flag, not a Hashtbl.add: a re-add after a missed remove cannot
        shadow-stack bindings. *)
@@ -287,8 +288,8 @@ let grant eng tid =
   let instr =
     match Vm.Tcb.current_instr tcb with None -> Vm.Isa.Exit | Some i -> i
   in
-  Sim.Trace.recordf st.Exec.State.trace (now eng) "grant %d %s pc=%d" tid
-    (Vm.Isa.instr_name instr) tcb.Vm.Tcb.pc;
+  Sim.Trace.grant st.Exec.State.trace (now eng) ~tid
+    ~instr:(Vm.Isa.instr_code instr) ~pc:tcb.Vm.Tcb.pc;
   (match instr with
   | Vm.Isa.Exit -> ()
   | _ ->
@@ -521,8 +522,8 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
     eng.ctx_of.(ctx) <- None;
     eng.tick_handle.(ctx) <- None;
     Sim.Stats.incr st.Exec.State.stats "gprs.sync_parks";
-    Sim.Trace.recordf st.Exec.State.trace (now eng) "park %d %s pc=%d" tid
-      (Vm.Isa.instr_name instr) tcb.Vm.Tcb.pc;
+    Sim.Trace.park st.Exec.State.trace (now eng) ~tid
+      ~instr:(Vm.Isa.instr_code instr) ~pc:tcb.Vm.Tcb.pc;
     (* Fork, join and exit are sub-thread boundaries but not
        communication through shared objects: their boundary is processed
        on arrival (the fork order is the parent's program order; join and
@@ -746,9 +747,10 @@ and fill eng ctx =
       if Tidtab.get eng.destroyed tid then fill eng ctx
       else begin
         let tcb = Exec.State.thread eng.st tid in
-        Sim.Trace.recordf eng.st.Exec.State.trace (now eng) "fill ctx=%d tid=%d wait=%s"
-          ctx tid
-          (Format.asprintf "%a" Vm.Tcb.pp_wait tcb.Vm.Tcb.wait);
+        let w = tcb.Vm.Tcb.wait in
+        Sim.Trace.fill eng.st.Exec.State.trace (now eng) ~ctx ~tid
+          ~wait:(Vm.Tcb.wait_code w) ~a:(Vm.Tcb.wait_arg_a w)
+          ~b:(Vm.Tcb.wait_arg_b w);
         if tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then begin
           eng.ctx_of.(ctx) <- Some tid;
           if stolen then begin
@@ -760,9 +762,15 @@ and fill eng ctx =
         else fill eng ctx
       end
 
+(* Once the run queue is empty every remaining [fill] is a no-op, so the
+   scan stops there: an event that readies nothing costs O(1), not one
+   scheduler probe per idle context. *)
 and fill_all eng =
-  for ctx = 0 to Array.length eng.ctx_of - 1 do
-    if eng.ctx_of.(ctx) = None then fill eng ctx
+  let n = Array.length eng.ctx_of in
+  let ctx = ref 0 in
+  while !ctx < n && not (Sched.Scheduler.is_empty eng.sched) do
+    if eng.ctx_of.(!ctx) = None then fill eng !ctx;
+    incr ctx
   done
 
 (* ------------------------------------------------------------------ *)

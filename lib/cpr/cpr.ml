@@ -351,9 +351,13 @@ let fill eng ctx =
       if extra = 0 then dispatch eng ctx (Exec.State.thread st tid)
       else schedule_tick eng ctx ~after:extra
 
+(* Stops at an empty run queue, past which [fill] is a no-op. *)
 let fill_all eng =
-  for ctx = 0 to Array.length eng.ctx_of - 1 do
-    if eng.ctx_of.(ctx) = None then fill eng ctx
+  let n = Array.length eng.ctx_of in
+  let ctx = ref 0 in
+  while !ctx < n && not (Sched.Scheduler.is_empty eng.sched) do
+    if eng.ctx_of.(!ctx) = None then fill eng !ctx;
+    incr ctx
   done
 
 let all_ctx_idle eng = Array.for_all (fun o -> o = None) eng.ctx_of

@@ -34,6 +34,14 @@ exception Deadlock of string
 
 let main_tid = 0
 
+let trace_names =
+  {
+    Sim.Trace.instr = Vm.Isa.code_name;
+    wait =
+      (fun code a b ->
+        Format.asprintf "%a" Vm.Tcb.pp_wait (Vm.Tcb.wait_of_code code a b));
+  }
+
 let create ?(trace_capacity = 4096) ?blocks ~program ~costs ~n_contexts ~seed
     () =
   let open Vm.Isa in
@@ -78,7 +86,7 @@ let create ?(trace_capacity = 4096) ?blocks ~program ~costs ~n_contexts ~seed
     live_threads = 1;
     evq = Sim.Event_queue.create ();
     stats;
-    trace = Sim.Trace.create ~capacity:trace_capacity ();
+    trace = Sim.Trace.create ~capacity:trace_capacity ~names:trace_names ();
     prng = Sim.Prng.create seed;
     current_undo = None;
     acc_cost = 0;

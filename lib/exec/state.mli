@@ -52,6 +52,10 @@ and mutex = { mutable holder : int option; mutable mwaiters : Fifo.t }
 and cond = { mutable sleepers : Fifo.t }
 and barrier = { parties : int; mutable arrived : int list }
 
+val trace_names : Sim.Trace.names
+(** Decoders for the instruction and wait codes the engines record in
+    [trace]; every state's trace renders with them. *)
+
 val create :
   ?trace_capacity:int ->
   ?blocks:Vm.Block.t ->

@@ -32,32 +32,32 @@ let enqueue t ~ctx_hint x =
   | Fifo -> Deque.push_bottom t.global x
   | Work_steal -> Deque.push_bottom t.local.(ctx_hint mod t.n) x
 
+(* Probe victims in a fixed rotation starting after the thief. *)
+let rec probe t ctx i =
+  if i >= t.n then None
+  else
+    match Deque.steal_top t.local.((ctx + i) mod t.n) with
+    | Some x ->
+      t.count <- t.count - 1;
+      Some (x, true)
+    | None -> probe t ctx (i + 1)
+
 let take t ~ctx =
-  match t.pol with
-  | Fifo -> (
-    match Deque.steal_top t.global with
-    | Some x ->
-      t.count <- t.count - 1;
-      Some (x, false)
-    | None -> None)
-  | Work_steal -> (
-    match Deque.pop_bottom t.local.(ctx) with
-    | Some x ->
-      t.count <- t.count - 1;
-      Some (x, false)
-    | None ->
-      (* Probe victims in a fixed rotation starting after the thief. *)
-      let rec probe i =
-        if i >= t.n then None
-        else
-          let victim = (ctx + i) mod t.n in
-          match Deque.steal_top t.local.(victim) with
-          | Some x ->
-            t.count <- t.count - 1;
-            Some (x, true)
-          | None -> probe (i + 1)
-      in
-      probe 1)
+  if t.count = 0 then None
+  else
+    match t.pol with
+    | Fifo -> (
+      match Deque.steal_top t.global with
+      | Some x ->
+        t.count <- t.count - 1;
+        Some (x, false)
+      | None -> None)
+    | Work_steal -> (
+      match Deque.pop_bottom t.local.(ctx) with
+      | Some x ->
+        t.count <- t.count - 1;
+        Some (x, false)
+      | None -> probe t ctx 1)
 
 let remove t x =
   let remove_from d =

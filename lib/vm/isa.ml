@@ -44,26 +44,34 @@ let find_proc p name =
   | Some proc -> proc
   | None -> invalid_arg (Printf.sprintf "Isa.find_proc: unknown proc %S" name)
 
-let instr_name = function
-  | Work _ -> "work"
-  | Goto _ -> "goto"
-  | If _ -> "if"
-  | Lock _ -> "lock"
-  | Unlock _ -> "unlock"
-  | Barrier _ -> "barrier"
-  | Cond_wait _ -> "cond_wait"
-  | Cond_signal { all = false; _ } -> "cond_signal"
-  | Cond_signal { all = true; _ } -> "cond_broadcast"
-  | Atomic _ -> "atomic"
-  | Nonstd_atomic _ -> "nonstd_atomic"
-  | Fork _ -> "fork"
-  | Join _ -> "join"
-  | Alloc _ -> "alloc"
-  | Free _ -> "free"
-  | Cpr_begin -> "cpr_begin"
-  | Cpr_end -> "cpr_end"
-  | Opaque _ -> "opaque"
-  | Exit -> "exit"
+let names =
+  [| "work"; "goto"; "if"; "lock"; "unlock"; "barrier"; "cond_wait";
+     "cond_signal"; "cond_broadcast"; "atomic"; "nonstd_atomic"; "fork";
+     "join"; "alloc"; "free"; "cpr_begin"; "cpr_end"; "opaque"; "exit" |]
+
+let instr_code = function
+  | Work _ -> 0
+  | Goto _ -> 1
+  | If _ -> 2
+  | Lock _ -> 3
+  | Unlock _ -> 4
+  | Barrier _ -> 5
+  | Cond_wait _ -> 6
+  | Cond_signal { all = false; _ } -> 7
+  | Cond_signal { all = true; _ } -> 8
+  | Atomic _ -> 9
+  | Nonstd_atomic _ -> 10
+  | Fork _ -> 11
+  | Join _ -> 12
+  | Alloc _ -> 13
+  | Free _ -> 14
+  | Cpr_begin -> 15
+  | Cpr_end -> 16
+  | Opaque _ -> 17
+  | Exit -> 18
+
+let code_name c = names.(c)
+let instr_name i = names.(instr_code i)
 
 let is_sync_point = function
   | Lock _ | Barrier _ | Cond_wait _ | Cond_signal _ | Atomic _ | Fork _

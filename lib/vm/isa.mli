@@ -74,6 +74,12 @@ val find_proc : program -> string -> proc
 val instr_name : instr -> string
 (** Mnemonic for tracing. *)
 
+val instr_code : instr -> int
+(** Small-int code of the instruction's mnemonic, for allocation-free
+    trace records; [code_name (instr_code i) = instr_name i]. *)
+
+val code_name : int -> string
+
 val is_sync_point : instr -> bool
 (** True for the instructions GPRS treats as communication points (where
     sub-threads end/begin): fork, join, lock, barrier, cond wait/signal,

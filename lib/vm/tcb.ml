@@ -102,6 +102,34 @@ let restore_state t s =
    unchanged. *)
 let saved_words s = Array.length s - 1
 
+(* Trace encoding: a wait as a code and two int arguments. *)
+let wait_code = function
+  | Runnable -> 0
+  | On_mutex _ -> 1
+  | On_cond _ -> 2
+  | Reacquire _ -> 3
+  | On_barrier _ -> 4
+  | On_join _ -> 5
+  | On_token -> 6
+  | Done -> 7
+
+let wait_arg_a = function
+  | On_mutex x | Reacquire x | On_barrier x | On_join x | On_cond { c = x; _ } -> x
+  | Runnable | On_token | Done -> 0
+
+let wait_arg_b = function On_cond { m; _ } -> m | _ -> 0
+
+let wait_of_code code a b =
+  match code with
+  | 0 -> Runnable
+  | 1 -> On_mutex a
+  | 2 -> On_cond { c = a; m = b }
+  | 3 -> Reacquire a
+  | 4 -> On_barrier a
+  | 5 -> On_join a
+  | 6 -> On_token
+  | _ -> Done
+
 let pp_wait ppf = function
   | Runnable -> Format.pp_print_string ppf "runnable"
   | On_mutex m -> Format.fprintf ppf "on_mutex(%d)" m

@@ -75,3 +75,13 @@ val saved_words : saved -> int
 (** Size of the snapshot in words, for checkpoint-cost accounting. *)
 
 val pp_wait : Format.formatter -> wait -> unit
+
+(** {2 Trace encoding}
+
+    A wait as a small-int code plus two int arguments, so the trace ring
+    records it without allocating; [wait_of_code] inverts the three. *)
+
+val wait_code : wait -> int
+val wait_arg_a : wait -> int
+val wait_arg_b : wait -> int
+val wait_of_code : int -> int -> int -> wait

@@ -100,8 +100,10 @@ let append t ?(at = 0) ~order op =
   t.entries <- { lsn; order; op } :: t.entries;
   t.live <- t.live + 1;
   if t.live > t.hw then t.hw <- t.live;
-  let a, b = op_fields op in
-  emit t (Printf.sprintf "O %d %d %d %c %d %d" lsn at order (kind_char op) a b);
+  if t.stable <> None then begin
+    let a, b = op_fields op in
+    emit t (Printf.sprintf "O %d %d %d %c %d %d" lsn at order (kind_char op) a b)
+  end;
   (match t.on_append with Some f -> f lsn | None -> ());
   lsn
 
@@ -133,7 +135,8 @@ let prune_below t ~order =
   t.entries <- kept;
   let n = List.length dropped in
   t.live <- t.live - n;
-  if n > 0 then emit t (Printf.sprintf "P %d %d" t.next_lsn order);
+  if n > 0 && t.stable <> None then
+    emit t (Printf.sprintf "P %d %d" t.next_lsn order);
   n
 
 (* Redo scan start for the next recovery: the oldest LSN still protected

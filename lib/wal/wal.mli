@@ -18,7 +18,8 @@
     line per op record, prune marker, or checkpoint begin/end pair, in LSN
     order. Cold recovery ({!Recovery}) parses that image back with
     {!parse_image} and performs ARIES analysis / redo / undo against it —
-    the live [t] is gone with the crashed engine. *)
+    the live [t] is gone with the crashed engine. A volatile log builds
+    no text at all: its appends and prunes only update the live list. *)
 
 type op =
   | Alloc of { addr : int; size : int }  (** runtime allocator gave out a block *)

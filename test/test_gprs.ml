@@ -185,6 +185,30 @@ let test_fork_cheap_under_gprs () =
     true
     (g.Exec.State.sim_cycles < b.Exec.State.sim_cycles)
 
+(* Host-only work at the sub-thread boundary (trace text, WAL text, idle
+   run-queue probes) once cost about 2,400 minor words per sub-thread on
+   this run; it measures about 490 now. *)
+let test_boundary_alloc_bounded () =
+  let spec = Workloads.Suite.find "dedup" in
+  let p =
+    spec.Workloads.Workload.build ~n_contexts:8 ~grain:Workloads.Workload.Default
+      ~scale:0.1
+  in
+  let r = ref None in
+  let words =
+    Tprog.alloc_words (fun () ->
+        r :=
+          Some
+            (Gprs.Engine.run ~lint:`Off
+               { Gprs.Engine.default_config with n_contexts = 8 }
+               p))
+  in
+  let subs = Sim.Stats.get (Option.get !r).Exec.State.run_stats "gprs.subthreads" in
+  checkb "sub-threads created" true (subs > 0);
+  let per_sub = words / subs in
+  checkb (Printf.sprintf "%d minor words per sub-thread <= 800" per_sub) true
+    (per_sub <= 800)
+
 let suite =
   [
     Alcotest.test_case "fork/join" `Quick test_fork_join;
@@ -211,4 +235,6 @@ let suite =
     Alcotest.test_case "dnc budget" `Quick test_dnc_budget;
     Alcotest.test_case "rol drains" `Quick test_rol_drains;
     Alcotest.test_case "fork cheap under DEX" `Quick test_fork_cheap_under_gprs;
+    Alcotest.test_case "boundary allocation per sub-thread bounded" `Quick
+      test_boundary_alloc_bounded;
   ]

@@ -93,6 +93,29 @@ let test_scheduler_counts () =
   ignore (Sched.Scheduler.take s ~ctx:0);
   checkb "empty again" true (Sched.Scheduler.is_empty s)
 
+let test_take_empty_allocates_nothing () =
+  List.iter
+    (fun pol ->
+      let n = 64 in
+      let s = Sched.Scheduler.create pol ~n_contexts:n in
+      (* Leave the deques grown but empty, as a drained run queue is. *)
+      for i = 0 to n - 1 do
+        Sched.Scheduler.enqueue s ~ctx_hint:i i
+      done;
+      for ctx = 0 to n - 1 do
+        ignore (Sched.Scheduler.take s ~ctx)
+      done;
+      let nones = ref 0 in
+      let words =
+        Tprog.alloc_words (fun () ->
+            for ctx = 0 to n - 1 do
+              if Sched.Scheduler.take s ~ctx = None then incr nones
+            done)
+      in
+      check "None for every ctx" n !nones;
+      check "minor words" 0 words)
+    [ Sched.Scheduler.Fifo; Sched.Scheduler.Work_steal ]
+
 let suite =
   [
     Alcotest.test_case "deque owner LIFO" `Quick test_deque_lifo_owner;
@@ -105,4 +128,6 @@ let suite =
     Alcotest.test_case "steal rotation" `Quick test_steal_rotation_deterministic;
     Alcotest.test_case "remove queued item" `Quick test_scheduler_remove;
     Alcotest.test_case "counts" `Quick test_scheduler_counts;
+    Alcotest.test_case "take on empty allocates nothing" `Quick
+      test_take_empty_allocates_nothing;
   ]

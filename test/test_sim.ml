@@ -239,23 +239,114 @@ let test_stats_merge () =
   check "merged counter" 5 (Sim.Stats.get a "k");
   Alcotest.(check (float 1e-9)) "merged mean" 3.0 (Sim.Stats.mean a "o")
 
+let mk_trace ?capacity () =
+  Sim.Trace.create ?capacity ~names:Exec.State.trace_names ()
+
+let texts t = List.map snd (Sim.Trace.to_list t)
+
 let test_trace_ring () =
-  let t = Sim.Trace.create ~capacity:4 () in
+  let t = mk_trace ~capacity:4 () in
   for i = 1 to 6 do
-    Sim.Trace.record t i (Printf.sprintf "e%d" i)
+    Sim.Trace.grant t i ~tid:i ~instr:3 ~pc:(10 * i)
   done;
   Alcotest.(check (list string))
-    "keeps the newest 4"
-    [ "e3"; "e4"; "e5"; "e6" ]
-    (List.map snd (Sim.Trace.to_list t))
+    "keeps the newest 4, oldest first"
+    [ "grant 3 lock pc=30"; "grant 4 lock pc=40"; "grant 5 lock pc=50";
+      "grant 6 lock pc=60" ]
+    (texts t);
+  Alcotest.(check (list int)) "times" [ 3; 4; 5; 6 ]
+    (List.map fst (Sim.Trace.to_list t))
 
 let test_trace_find_and_disable () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.record t 1 "hello world";
+  let t = mk_trace () in
+  Sim.Trace.park t 1 ~tid:7 ~instr:5 ~pc:2;
   Sim.Trace.set_enabled t false;
-  Sim.Trace.record t 2 "dropped";
-  checkb "found" true (Sim.Trace.find t ~substring:"world" <> None);
-  checkb "dropped" true (Sim.Trace.find t ~substring:"dropped" = None)
+  Sim.Trace.fill t 2 ~ctx:1 ~tid:9 ~wait:0 ~a:0 ~b:0;
+  checkb "found" true (Sim.Trace.find t ~substring:"park 7 barrier" <> None);
+  checkb "dropped" true (Sim.Trace.find t ~substring:"fill" = None);
+  check "one retained" 1 (List.length (Sim.Trace.to_list t))
+
+(* Each event kind renders byte for byte as the formatted string the
+   engine used to record, so the GPRS_DEBUG wedge dump reads the same. *)
+let test_trace_render_make_runnable () =
+  let t = mk_trace () in
+  let cases = [ (false, false, false); (true, false, true); (false, true, false);
+                (true, true, true) ] in
+  List.iteri
+    (fun tid (queued, on_ctx, destroyed) ->
+      Sim.Trace.make_runnable t tid ~tid ~queued ~on_ctx ~destroyed)
+    cases;
+  Alcotest.(check (list string)) "text"
+    (List.mapi
+       (fun tid (q, o, d) ->
+         Format.asprintf "make_runnable %d queued=%b on_ctx=%b destroyed=%b" tid q o d)
+       cases)
+    (texts t)
+
+let all_instrs =
+  let r _ = 0 in
+  let work = Vm.Isa.Work { cost = r; run = ignore } in
+  Vm.Isa.
+    [ work; Goto 0; If { cond = (fun _ -> true); target = 0 }; Lock { m = r };
+      Unlock { m = r }; Barrier { b = 0 }; Cond_wait { c = 0; m = 0 };
+      Cond_signal { c = 0; all = false }; Cond_signal { c = 0; all = true };
+      Atomic { var = r; rmw = (fun ~old _ -> old); dst = 0 };
+      Nonstd_atomic { var = r; rmw = (fun ~old _ -> old); dst = 0 };
+      Fork { group = 0; proc = "p"; args = (fun _ -> [||]); dst = 0 };
+      Join { tid = r }; Alloc { size = r; dst = 0 }; Free { addr = r }; Cpr_begin;
+      Cpr_end; Opaque { cost = r; run = ignore }; Exit ]
+
+let test_trace_render_boundary record fmt () =
+  let t = mk_trace () in
+  List.iteri
+    (fun i ins -> record t i ~tid:i ~instr:(Vm.Isa.instr_code ins) ~pc:(i * 3))
+    all_instrs;
+  Alcotest.(check (list string)) "text"
+    (List.mapi
+       (fun i ins -> Format.asprintf fmt i (Vm.Isa.instr_name ins) (i * 3))
+       all_instrs)
+    (texts t)
+
+let test_trace_render_fill () =
+  let t = mk_trace () in
+  let waits =
+    Vm.Tcb.
+      [ Runnable; On_mutex 4; On_cond { c = 2; m = 5 }; Reacquire 6; On_barrier 1;
+        On_join 3; On_token; Done ]
+  in
+  List.iteri
+    (fun i w ->
+      Sim.Trace.fill t i ~ctx:(i mod 3) ~tid:(i + 10) ~wait:(Vm.Tcb.wait_code w)
+        ~a:(Vm.Tcb.wait_arg_a w) ~b:(Vm.Tcb.wait_arg_b w))
+    waits;
+  Alcotest.(check (list string)) "text"
+    (List.mapi
+       (fun i w ->
+         Format.asprintf "fill ctx=%d tid=%d wait=%s" (i mod 3) (i + 10)
+           (Format.asprintf "%a" Vm.Tcb.pp_wait w))
+       waits)
+    (texts t)
+
+let test_trace_records_allocate_nothing () =
+  let major_words () = int_of_float (Gc.quick_stat ()).Gc.major_words in
+  let m0 = major_words () in
+  let t = mk_trace ~capacity:1024 () in
+  check "an unwritten trace has no ring" 0 (major_words () - m0);
+  (* The first record allocates the ring; none after it allocates. *)
+  Sim.Trace.grant t 0 ~tid:0 ~instr:0 ~pc:0;
+  let m1 = major_words () in
+  let words =
+    Tprog.alloc_words (fun () ->
+        for i = 1 to 2_500 do
+          Sim.Trace.make_runnable t i ~tid:i ~queued:false ~on_ctx:true ~destroyed:false;
+          Sim.Trace.grant t i ~tid:i ~instr:3 ~pc:i;
+          Sim.Trace.park t i ~tid:i ~instr:5 ~pc:i;
+          Sim.Trace.fill t i ~ctx:1 ~tid:i ~wait:2 ~a:4 ~b:5
+        done)
+  in
+  check "minor words for 10k events" 0 words;
+  check "major words for 10k events" 0 (major_words () - m1);
+  check "ring holds the newest" 1024 (List.length (Sim.Trace.to_list t))
 
 let test_time_conversions () =
   let c = Sim.Time.of_seconds ~cycles_per_second:1000 2.5 in
@@ -289,5 +380,14 @@ let suite =
     Alcotest.test_case "stats merge" `Quick test_stats_merge;
     Alcotest.test_case "trace ring" `Quick test_trace_ring;
     Alcotest.test_case "trace find/disable" `Quick test_trace_find_and_disable;
+    Alcotest.test_case "trace renders make_runnable" `Quick
+      test_trace_render_make_runnable;
+    Alcotest.test_case "trace renders grant" `Quick
+      (test_trace_render_boundary Sim.Trace.grant "grant %d %s pc=%d");
+    Alcotest.test_case "trace renders park" `Quick
+      (test_trace_render_boundary Sim.Trace.park "park %d %s pc=%d");
+    Alcotest.test_case "trace renders fill" `Quick test_trace_render_fill;
+    Alcotest.test_case "trace records allocate nothing" `Quick
+      test_trace_records_allocate_nothing;
     Alcotest.test_case "time conversions" `Quick test_time_conversions;
   ]

@@ -48,6 +48,54 @@ let test_all_oldest_first () =
   | [ a; b ] -> checkb "oldest first" true (a.Wal.lsn < b.Wal.lsn)
   | _ -> Alcotest.fail "expected two"
 
+(* A volatile log builds no text: an append costs its entry record and
+   list cell (7 words); formatting a stable-image line would cost well
+   over a hundred. *)
+let test_append_volatile_no_text () =
+  let w = Wal.create () in
+  let op = Wal.Rol_insert { sub = 3 } in
+  let n = 1_000 in
+  let words =
+    Tprog.alloc_words (fun () ->
+        for i = 1 to n do
+          ignore (Wal.append w ~order:i op)
+        done)
+  in
+  checkb (Printf.sprintf "%d words for %d appends" words n) true (words <= 8 * n);
+  check "all logged" n (Wal.size w);
+  checkb "no image" true (Wal.stable_image w = None)
+
+(* Pins the stable-image text byte for byte over every record kind. *)
+let test_stable_image_golden () =
+  let w = Wal.create ~stable:true () in
+  let app at order op = ignore (Wal.append w ~at ~order op) in
+  app 10 0 (Wal.Alloc { addr = 64; size = 8 });
+  app 12 1 (Wal.Thread_create { tid = 1 });
+  app 15 1 (Wal.Rol_insert { sub = 3 });
+  app 20 2 (Wal.Sched_enqueue { sub = 4 });
+  app 21 2 (Wal.Io_op { file = 1; words = 16 });
+  ignore (Wal.prune_below w ~order:1);
+  app 30 3 (Wal.Free { addr = 64; size = 8 });
+  Wal.log_checkpoint w ~min_retired:1 ~active:[ 2; 3 ] ~brk:128
+    ~free:[ (64, 8) ] ~used:[ (72, 16) ];
+  ignore (Wal.drop_for w ~orders:(fun o -> o = 3));
+  ignore (Wal.prune_below w ~order:3);
+  let image = Option.get (Wal.stable_image w) in
+  Alcotest.(check string) "image"
+    "O 0 10 0 A 64 8 aace43cd03d0bfda\n\
+     O 1 12 1 T 1 0 f1bff87d8fe029d0\n\
+     O 2 15 1 R 3 0 2e423b46a1871dea\n\
+     O 3 20 2 S 4 0 11a826a10bac8cc4\n\
+     O 4 21 2 I 1 16 efb53846623a113c\n\
+     P 5 1 3994882b4a5099db\n\
+     O 5 30 3 F 64 8 b1f6f6ed8360986b\n\
+     B 6 156b9219b03b4deb\n\
+     E 6 1 1 2,3 128 64:8 72:16 a3d3e4601fdda59a\n\
+     D 6 3 86038dd9191428ec\n\
+     P 6 3 546a752b59c15950\n"
+    image;
+  check "parses back" 11 (List.length (Wal.parse_image image))
+
 (* Undo log *)
 
 let mk_state () =
@@ -110,6 +158,9 @@ let suite =
     Alcotest.test_case "drop_for" `Quick test_drop_for;
     Alcotest.test_case "prune_below" `Quick test_prune_below;
     Alcotest.test_case "all oldest first" `Quick test_all_oldest_first;
+    Alcotest.test_case "volatile append builds no text" `Quick
+      test_append_volatile_no_text;
+    Alcotest.test_case "stable image golden" `Quick test_stable_image_golden;
     Alcotest.test_case "undo: first write only" `Quick test_undo_first_write_only;
     Alcotest.test_case "undo: replay restores" `Quick test_undo_replay_restores;
     Alcotest.test_case "undo: merge keeps older" `Quick test_undo_reverse_order;

@@ -189,12 +189,40 @@ let test_suite_lookup () =
           (String.concat ", " Workloads.Suite.names)))
     (fun () -> ignore (Workloads.Suite.find "nope"))
 
+(* Idle contexts used to re-probe every deque after every event, so a
+   GPRS run at 1024 contexts did not finish in a minute. The digest is
+   schedule-independent: it is the 8-context Pthreads digest at any
+   context count. *)
+let test_pbzip2_many_contexts () =
+  let spec = Workloads.Suite.find "pbzip2" in
+  let build n_contexts =
+    spec.Workloads.Workload.build ~n_contexts ~grain:Workloads.Workload.Default
+      ~scale:0.01
+  in
+  let digest r = spec.Workloads.Workload.digest r in
+  let n_contexts = 1024 in
+  checks "pthreads, 8 contexts" "3f0ea7eab16c2a90"
+    (digest
+       (Exec.Baseline.run { Exec.Baseline.default_config with n_contexts = 8 } (build 8)));
+  List.iter
+    (fun (engine, run) ->
+      let r = run (build n_contexts) in
+      checkb (engine ^ " completes") false r.Exec.State.dnc;
+      checks (engine ^ ", 1024 contexts") "3f0ea7eab16c2a90" (digest r))
+    [
+      ("pthreads", Exec.Baseline.run { Exec.Baseline.default_config with n_contexts });
+      ("cpr", Cpr.run { Cpr.default_config with n_contexts });
+      ("gprs", Gprs.Engine.run ~lint:`Off { Gprs.Engine.default_config with n_contexts });
+    ]
+
 let suite =
   [
     Alcotest.test_case "all complete (baseline)" `Quick test_all_complete_baseline;
     Alcotest.test_case "digests engine-independent" `Quick test_digests_engine_independent;
     Alcotest.test_case "digests ordering-independent" `Quick test_digests_ordering_independent;
     Alcotest.test_case "fine grain same digest" `Quick test_fine_grain_same_digest;
+    Alcotest.test_case "pbzip2 at 1024 contexts, all engines" `Quick
+      test_pbzip2_many_contexts;
     Alcotest.test_case "histogram bins sum" `Quick test_histogram_bins_sum;
     Alcotest.test_case "wordcount counts sum" `Quick test_wordcount_counts_sum;
     Alcotest.test_case "pbzip2 RLE round-trip" `Quick test_pbzip2_roundtrip;

@@ -4,6 +4,12 @@
 
 open Vm.Builder
 
+(* Minor-heap words allocated while running [f]. *)
+let alloc_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  int_of_float (Gc.minor_words () -. w0)
+
 (* Workers write into private slots; main sums into address 0. *)
 let fork_join_sum ?(work = 400_000) ~workers () =
   let worker = proc "worker" in
