@@ -84,6 +84,14 @@ type eng = {
   mutable fault_times : int list;
   budget : int;  (* max_cycles, or max_int *)
   instrs : int ref;  (* cached "instrs" counter *)
+  (* Per-sub-thread counters, bound to their keys on first use. *)
+  h_subthreads : Sim.Stats.Handle.counter;
+  h_tokens : Sim.Stats.Handle.counter;
+  h_sync_parks : Sim.Stats.Handle.counter;
+  h_retired : Sim.Stats.Handle.counter;
+  h_steals : Sim.Stats.Handle.counter;
+  h_opaque_calls : Sim.Stats.Handle.counter;
+  h_sub_cycles : Sim.Stats.Handle.summary;
   mutable io_tid : int;  (* thread being dispatched: owner of Io_op appends *)
 }
 
@@ -204,7 +212,7 @@ let new_sub eng (tcb : Vm.Tcb.t) =
   Rol.insert eng.rol sub;
   ignore (Wal.append eng.wal ~at:(now eng) ~order:id (Wal.Rol_insert { sub = id }));
   Tidtab.set eng.cur_sub tcb.Vm.Tcb.tid (Some sub);
-  Sim.Stats.incr eng.st.Exec.State.stats "gprs.subthreads";
+  Sim.Stats.Handle.incr eng.h_subthreads;
   sub
 
 (* Drop a record back into the pool once nothing can reach it: clear the
@@ -270,8 +278,8 @@ let complete_current eng tid =
   | None -> ()
   | Some sub ->
     sub.Subthread.status <- Subthread.Complete (now eng);
-    Sim.Stats.observe eng.st.Exec.State.stats "gprs.sub_cycles"
-      (float_of_int (now eng - sub.Subthread.started_at));
+    Sim.Stats.Handle.sample eng.h_sub_cycles
+      (now eng - sub.Subthread.started_at);
     (match Rol.min_live_id eng.rol with
     | Some min_id when min_id = sub.Subthread.id ->
       schedule_retire_check eng
@@ -283,7 +291,7 @@ let complete_current eng tid =
 let grant eng tid =
   let st = eng.st in
   let tcb = Exec.State.thread st tid in
-  Sim.Stats.incr st.Exec.State.stats "gprs.tokens";
+  Sim.Stats.Handle.incr eng.h_tokens;
   complete_current eng tid;
   let instr =
     match Vm.Tcb.current_instr tcb with None -> Vm.Isa.Exit | Some i -> i
@@ -521,7 +529,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
     tcb.Vm.Tcb.wait <- Vm.Tcb.On_token;
     eng.ctx_of.(ctx) <- None;
     eng.tick_handle.(ctx) <- None;
-    Sim.Stats.incr st.Exec.State.stats "gprs.sync_parks";
+    Sim.Stats.Handle.incr eng.h_sync_parks;
     Sim.Trace.park st.Exec.State.trace (now eng) ~tid
       ~instr:(Vm.Isa.instr_code instr) ~pc:tcb.Vm.Tcb.pc;
     (* Fork, join and exit are sub-thread boundaries but not
@@ -565,7 +573,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
         (match cur_sub_opt eng tid with
         | Some sub -> sub.Subthread.global_dep <- not tcb.Vm.Tcb.in_cpr_region
         | None -> ());
-        Sim.Stats.incr st.Exec.State.stats "gprs.opaque_calls";
+        Sim.Stats.Handle.incr eng.h_opaque_calls;
         Exec.Sem.exec_work st tcb ~cost ~run
       | Vm.Isa.Nonstd_atomic { var; rmw; dst } ->
         (* Home-spun synchronization is invisible to DEX; outside a CPR
@@ -705,7 +713,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
           (match i with
           | Vm.Isa.Opaque _ ->
             sub.Subthread.global_dep <- not tcb.Vm.Tcb.in_cpr_region;
-            Sim.Stats.incr st.Exec.State.stats "gprs.opaque_calls"
+            Sim.Stats.Handle.incr eng.h_opaque_calls
           | _ -> ())
       in
       (* Per-compiled-entry form of [on_fused]: the latch, the
@@ -718,7 +726,7 @@ and dispatch eng ctx (tcb : Vm.Tcb.t) =
           if entered_cpr then sub.Subthread.cpr_region <- true;
           if opaques > 0 then begin
             sub.Subthread.global_dep <- not last_opaque_in_cpr;
-            Sim.Stats.add st.Exec.State.stats "gprs.opaque_calls" opaques
+            Sim.Stats.Handle.add eng.h_opaque_calls opaques
           end
       in
       let vend =
@@ -754,7 +762,7 @@ and fill eng ctx =
         if tcb.Vm.Tcb.wait = Vm.Tcb.Runnable then begin
           eng.ctx_of.(ctx) <- Some tid;
           if stolen then begin
-            Sim.Stats.incr eng.st.Exec.State.stats "gprs.steals";
+            Sim.Stats.Handle.incr eng.h_steals;
             add_delay eng tid eng.cfg.costs.Vm.Costs.steal
           end;
           dispatch eng ctx tcb
@@ -785,7 +793,7 @@ let retire eng =
     eng.squashed_since_retire <- 0;
     List.iter
       (fun (sub : Subthread.t) ->
-        Sim.Stats.incr st.Exec.State.stats "gprs.retired";
+        Sim.Stats.Handle.incr eng.h_retired;
         (* Quarantined frees become real at retirement (output commit). *)
         List.iter
           (fun (a, size) ->
@@ -1279,6 +1287,7 @@ let finalize eng ~dnc =
   Exec.State.mk_result st ~dnc
 
 let mk_eng cfg st ~order ~injector ~destroyed ~dead_ctx ~next_sub_id ~stable =
+  let stats = st.Exec.State.stats in
   {
     cfg;
     st;
@@ -1306,7 +1315,14 @@ let mk_eng cfg st ~order ~injector ~destroyed ~dead_ctx ~next_sub_id ~stable =
     grant_guard = 0;
     fault_times = [];
     budget = Option.value ~default:max_int cfg.max_cycles;
-    instrs = Sim.Stats.counter st.Exec.State.stats "instrs";
+    instrs = Sim.Stats.counter stats "instrs";
+    h_subthreads = Sim.Stats.Handle.counter stats "gprs.subthreads";
+    h_tokens = Sim.Stats.Handle.counter stats "gprs.tokens";
+    h_sync_parks = Sim.Stats.Handle.counter stats "gprs.sync_parks";
+    h_retired = Sim.Stats.Handle.counter stats "gprs.retired";
+    h_steals = Sim.Stats.Handle.counter stats "gprs.steals";
+    h_opaque_calls = Sim.Stats.Handle.counter stats "gprs.opaque_calls";
+    h_sub_cycles = Sim.Stats.Handle.summary stats "gprs.sub_cycles";
     io_tid = 0;
   }
 

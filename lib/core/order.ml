@@ -16,6 +16,12 @@ type t = {
   mutable budget : int;  (* remaining turns for the cursor group *)
   index : (int, member * int) Hashtbl.t;  (* tid -> (member, group idx) *)
   mutable live : int;
+  (* Memo of [holder], valid while [fresh]. Only [add_thread],
+     [remove_thread], [advance] and an eligibility flip can change the
+     scan's answer, and each of them clears [fresh]. Keeping the option
+     itself means a repeated [holder] allocates nothing. *)
+  mutable memo : int option;
+  mutable fresh : bool;
 }
 
 let mk_group weight = { weight; members = [||]; count = 0; cursor = 0 }
@@ -28,7 +34,16 @@ let create sch ~group_weights =
     | Weighted -> Array.map (fun w -> mk_group (Stdlib.max 1 w)) group_weights
   in
   let budget = if Array.length groups = 0 then 1 else groups.(0).weight in
-  { sch; groups; gcursor = 0; budget; index = Hashtbl.create 64; live = 0 }
+  {
+    sch;
+    groups;
+    gcursor = 0;
+    budget;
+    index = Hashtbl.create 64;
+    live = 0;
+    memo = None;
+    fresh = false;
+  }
 
 let scheme t = t.sch
 
@@ -53,7 +68,8 @@ let add_thread t ~tid ~group =
   g.members.(g.count) <- m;
   g.count <- g.count + 1;
   Hashtbl.add t.index tid (m, gi);
-  t.live <- t.live + 1
+  t.live <- t.live + 1;
+  t.fresh <- false
 
 let remove_thread t tid =
   match Hashtbl.find_opt t.index tid with
@@ -63,12 +79,17 @@ let remove_thread t tid =
       m.dead <- true;
       t.live <- t.live - 1
     end;
-    Hashtbl.remove t.index tid
+    Hashtbl.remove t.index tid;
+    t.fresh <- false
 
 let set_eligible t tid e =
   match Hashtbl.find_opt t.index tid with
   | None -> ()
-  | Some (m, _) -> m.eligible <- e
+  | Some (m, _) ->
+    if m.eligible <> e then begin
+      m.eligible <- e;
+      t.fresh <- false
+    end
 
 let is_eligible t tid =
   match Hashtbl.find_opt t.index tid with
@@ -89,7 +110,7 @@ let scan_group g =
   in
   if g.count = 0 then None else go 0
 
-let holder t =
+let scan t =
   if t.sch = Recorded then None
   else
   let n = Array.length t.groups in
@@ -102,10 +123,18 @@ let holder t =
   in
   if n = 0 then None else go 0
 
+let holder t =
+  if not t.fresh then begin
+    t.memo <- scan t;
+    t.fresh <- true
+  end;
+  t.memo
+
 let advance t ~granted =
   match Hashtbl.find_opt t.index granted with
   | None -> ()
   | Some (m, gi) ->
+    t.fresh <- false;
     let g = t.groups.(gi) in
     (* Move the group's cursor just past the granted member. *)
     let pos = ref (-1) in

@@ -16,6 +16,7 @@ type 'ev t = {
   trace : Sim.Trace.t;
   prng : Sim.Prng.t;
   mutable current_undo : Undo_log.t option;
+  cow_words : Sim.Stats.Handle.counter;
   mutable acc_cost : int;
   output_handles : (string * Vm.Io.file) list;
   blocks : Vm.Block.t;
@@ -89,6 +90,7 @@ let create ?(trace_capacity = 4096) ?blocks ~program ~costs ~n_contexts ~seed
     trace = Sim.Trace.create ~capacity:trace_capacity ~names:trace_names ();
     prng = Sim.Prng.create seed;
     current_undo = None;
+    cow_words = Sim.Stats.Handle.counter stats "ckpt.cow_words";
     acc_cost = 0;
     output_handles;
     blocks =
@@ -165,14 +167,11 @@ let set_holder t m newh =
   | Some _ | None -> ());
   mu.holder <- newh
 
-let note_undo t key ~old =
-  match t.current_undo with
-  | None -> ()
-  | Some log ->
-    if Undo_log.note log key ~old then begin
-      t.acc_cost <- t.acc_cost + t.costs.Vm.Costs.cow_first_write;
-      Sim.Stats.incr t.stats "ckpt.cow_words"
-    end
+(* A first write into the open recovery epoch: charge its copy-on-write
+   cost (the paper's [cow_first_write]). *)
+let first_write t =
+  t.acc_cost <- t.acc_cost + t.costs.Vm.Costs.cow_first_write;
+  Sim.Stats.Handle.incr t.cow_words
 
 let tsan_access t (tcb : Vm.Tcb.t) hook a =
   match t.tsan with
@@ -195,7 +194,11 @@ let make_env t (tcb : Vm.Tcb.t) =
       (fun a v ->
         t.acc_cost <- t.acc_cost + costs.Vm.Costs.mem_access;
         tsan_access t tcb Tsan.on_write a;
-        note_undo t (Undo_log.K_mem a) ~old:(Vm.Mem.read t.mem a);
+        (match t.current_undo with
+        | Some log ->
+          if Undo_log.note_mem log a ~old:(Vm.Mem.read t.mem a) then
+            first_write t
+        | None -> ());
         Vm.Mem.write t.mem a v);
     file_size = (fun f -> Vm.Io.size t.io f);
     file_read =
@@ -207,12 +210,18 @@ let make_env t (tcb : Vm.Tcb.t) =
         t.acc_cost <- t.acc_cost + costs.Vm.Costs.io_per_word;
         let len = Vm.Io.size t.io f in
         if off >= len then begin
-          note_undo t (Undo_log.K_file_len f) ~old:len;
+          (match t.current_undo with
+          | Some log ->
+            if Undo_log.note_file_len log f ~old:len then first_write t
+          | None -> ());
           match t.on_io_grow with
           | Some g -> g f (off + 1 - len)
           | None -> ()
         end;
-        note_undo t (Undo_log.K_file (f, off)) ~old:(Vm.Io.read t.io f ~off);
+        let old = Vm.Io.read t.io f ~off in
+        (match t.current_undo with
+        | Some log -> if Undo_log.note_file log f ~off ~old then first_write t
+        | None -> ());
         Vm.Io.write t.io f ~off v);
   }
 
@@ -277,7 +286,10 @@ let decode_of t (proc : Vm.Isa.proc) =
 let read_atomic t v = t.atomics.(v)
 
 let write_atomic t v x =
-  note_undo t (Undo_log.K_atomic v) ~old:t.atomics.(v);
+  (match t.current_undo with
+  | Some log ->
+    if Undo_log.note_atomic log v ~old:t.atomics.(v) then first_write t
+  | None -> ());
   t.atomics.(v) <- x
 
 let now t = Sim.Event_queue.now t.evq

@@ -30,6 +30,8 @@ type 'ev t = {
   trace : Sim.Trace.t;
   prng : Sim.Prng.t;
   mutable current_undo : Undo_log.t option;
+  cow_words : Sim.Stats.Handle.counter;
+      (** ["ckpt.cow_words"]: first writes noted into [current_undo] *)
   mutable acc_cost : int;  (** cycles accrued by tracked accesses *)
   output_handles : (string * Vm.Io.file) list;
   blocks : Vm.Block.t;  (** fused-block pre-decode of [program] *)

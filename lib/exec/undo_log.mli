@@ -9,12 +9,20 @@
 
     Locations span all architectural state a squashed computation may have
     touched: shared-memory words, atomic variables, simulated file words
-    and file lengths. *)
+    and file lengths.
+
+    Internally a location is one int (kind in the low 2 bits), entries
+    live in parallel int arrays and first writes are found through an
+    open-addressing set, so noting a location allocates nothing once the
+    log has grown to hold it, and {!reset} keeps that capacity. *)
 
 type key =
   | K_mem of int  (** shared-memory address *)
   | K_atomic of int  (** atomic variable *)
-  | K_file of int * int  (** (file, offset) *)
+  | K_file of int * int
+      (** (file, offset); the file id must be in [0, 65535] and the
+          offset in [0, 2{^44} - 1], else {!note} raises
+          [Invalid_argument] *)
   | K_file_len of int  (** file length *)
 
 type t
@@ -39,6 +47,18 @@ val note : t -> key -> old:int -> bool
 (** Record the pre-image of [key] unless this log already holds one.
     Returns [true] when the entry was recorded (a "first write"), which is
     when the executor charges the copy-on-write cost. *)
+
+val note_mem : t -> int -> old:int -> bool
+(** [note t (K_mem a) ~old] without building the key. *)
+
+val note_atomic : t -> int -> old:int -> bool
+(** [note t (K_atomic v) ~old] without building the key. *)
+
+val note_file : t -> int -> off:int -> old:int -> bool
+(** [note t (K_file (f, off)) ~old] without building the key. *)
+
+val note_file_len : t -> int -> old:int -> bool
+(** [note t (K_file_len f) ~old] without building the key. *)
 
 val size : t -> int
 (** Number of recorded pre-images (words of checkpoint state). *)

@@ -1,9 +1,7 @@
-type summary = {
-  mutable n : int;
-  mutable sum : float;
-  mutable min_v : float;
-  mutable max_v : float;
-}
+(* The float fields live in an all-float record, which OCaml stores
+   flat, so feeding a sample updates them in place without boxing. *)
+type summary = { mutable n : int; f : floats }
+and floats = { mutable sum : float; mutable min_v : float; mutable max_v : float }
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
@@ -38,16 +36,62 @@ let summary t k =
   match Hashtbl.find_opt t.summaries k with
   | Some s -> s
   | None ->
-    let s = { n = 0; sum = 0.0; min_v = infinity; max_v = neg_infinity } in
+    let s =
+      { n = 0; f = { sum = 0.0; min_v = infinity; max_v = neg_infinity } }
+    in
     Hashtbl.add t.summaries k s;
     s
 
-let observe t k v =
-  let s = summary t k in
+let[@inline] observe_into s v =
   s.n <- s.n + 1;
-  s.sum <- s.sum +. v;
-  if v < s.min_v then s.min_v <- v;
-  if v > s.max_v then s.max_v <- v
+  let f = s.f in
+  f.sum <- f.sum +. v;
+  if v < f.min_v then f.min_v <- v;
+  if v > f.max_v then f.max_v <- v
+
+let observe t k v = observe_into (summary t k) v
+
+let counter_cell = counter
+let summary_cell = summary
+
+module Handle = struct
+  (* A handle holds its key and binds to the key's cell on first use, so
+     a key that a run never touches stays absent from the bag. Until
+     then the handle points at a shared sentinel that is never
+     written. *)
+
+  type nonrec counter = { c_stats : t; c_key : string; mutable cell : int ref }
+
+  type nonrec summary = {
+    s_stats : t;
+    s_key : string;
+    mutable target : summary;
+  }
+
+  let unbound_cell = ref 0
+
+  let unbound_summary =
+    { n = 0; f = { sum = 0.0; min_v = infinity; max_v = neg_infinity } }
+
+  let counter t k = { c_stats = t; c_key = k; cell = unbound_cell }
+
+  let cell h =
+    if h.cell == unbound_cell then h.cell <- counter_cell h.c_stats h.c_key;
+    h.cell
+
+  let incr h = Stdlib.incr (cell h)
+
+  let add h v =
+    let r = cell h in
+    r := !r + v
+
+  let summary t k = { s_stats = t; s_key = k; target = unbound_summary }
+
+  let sample h v =
+    if h.target == unbound_summary then
+      h.target <- summary_cell h.s_stats h.s_key;
+    observe_into h.target (float_of_int v)
+end
 
 let get t k =
   match Hashtbl.find_opt t.counters k with
@@ -57,7 +101,7 @@ let get t k =
 
 let mean t k =
   match Hashtbl.find_opt t.summaries k with
-  | Some s when s.n > 0 -> s.sum /. float_of_int s.n
+  | Some s when s.n > 0 -> s.f.sum /. float_of_int s.n
   | Some _ | None -> 0.0
 
 let count t k =
@@ -70,9 +114,9 @@ let merge_into ~dst src =
     (fun k s ->
       let d = summary dst k in
       d.n <- d.n + s.n;
-      d.sum <- d.sum +. s.sum;
-      if s.min_v < d.min_v then d.min_v <- s.min_v;
-      if s.max_v > d.max_v then d.max_v <- s.max_v)
+      d.f.sum <- d.f.sum +. s.f.sum;
+      if s.f.min_v < d.f.min_v then d.f.min_v <- s.f.min_v;
+      if s.f.max_v > d.f.max_v then d.f.max_v <- s.f.max_v)
     src.summaries
 
 let to_assoc t =
@@ -81,7 +125,7 @@ let to_assoc t =
   Hashtbl.iter (fun k r -> acc := (k ^ ".max", float_of_int !r) :: !acc) t.maxima;
   Hashtbl.iter
     (fun k s ->
-      if s.n > 0 then acc := (k ^ ".mean", s.sum /. float_of_int s.n) :: !acc)
+      if s.n > 0 then acc := (k ^ ".mean", s.f.sum /. float_of_int s.n) :: !acc)
     t.summaries;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 

@@ -42,3 +42,30 @@ val to_assoc : t -> (string * float) list
     key for stable output. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** Pre-bound handles for hot counters and summaries.
+
+    A handle names one key of one bag and binds to that key's cell on its
+    first bump; after that a bump is a pointer check and an in-place add,
+    with no string hashing and no allocation. A handle that is never
+    bumped registers nothing, so {!to_assoc} reads exactly as if the
+    plain string-keyed calls had been used. A handle and the plain calls
+    on the same key share one cell. *)
+module Handle : sig
+  type stats := t
+
+  type counter
+
+  type summary
+
+  val counter : stats -> string -> counter
+
+  val incr : counter -> unit
+
+  val add : counter -> int -> unit
+
+  val summary : stats -> string -> summary
+
+  val sample : summary -> int -> unit
+  (** [observe] of an integer sample, without boxing it. *)
+end

@@ -282,6 +282,135 @@ let prop_paged_undo_equiv =
       && replayed = Exec.Undo_log.size plain
       && Array.for_all2 ( = ) initial (Array.init 256 (Vm.Mem.read m)))
 
+(* The log against a reference model: an assoc list of (key, pre-image),
+   newest first. Two logs (an older and a newer one, for [merge_newer])
+   take random notes over all four key kinds, with small key spaces so
+   keys repeat and file offsets past 16 bits, interleaved with replay,
+   reset and merge. Every note is followed by a write of a fresh value,
+   as a tracked store does, into two identical machine states; replay
+   restores one through the log and the other through the model. *)
+type undo_op =
+  | U_note of bool * Exec.Undo_log.key * int  (* on the older log? *)
+  | U_replay of bool
+  | U_reset of bool
+  | U_merge
+
+let gen_undo_key =
+  Gen.(
+    oneof
+      [
+        map (fun a -> Exec.Undo_log.K_mem a) (int_range 0 63);
+        map (fun v -> Exec.Undo_log.K_atomic v) (int_range 0 7);
+        map2
+          (fun f off -> Exec.Undo_log.K_file (f, off))
+          (int_range 0 1)
+          (frequency [ (6, int_range 0 15); (1, int_range 65530 65541) ]);
+        map (fun f -> Exec.Undo_log.K_file_len f) (int_range 0 1);
+      ])
+
+let gen_undo_op =
+  Gen.(
+    frequency
+      [
+        (16, map3 (fun o k v -> U_note (o, k, v)) bool gen_undo_key (int_range 0 999));
+        (1, map (fun o -> U_replay o) bool);
+        (1, map (fun o -> U_reset o) bool);
+        (1, return U_merge);
+      ])
+
+let prop_undo_model =
+  case ~count:300 "undo log: agrees with an assoc-list model"
+    Gen.(list_size (int_range 1 150) gen_undo_op)
+    (fun ops ->
+      let mk () =
+        let io = Vm.Io.create () in
+        ignore (Vm.Io.add_file io ~name:"a" [| 1; 2; 3 |]);
+        ignore (Vm.Io.add_file io ~name:"b" [||]);
+        let mem = Vm.Mem.create ~words:64 in
+        for a = 0 to 63 do
+          Vm.Mem.write mem a (a * 3)
+        done;
+        (mem, Array.init 8 (fun v -> 100 + v), io)
+      in
+      let ((mem1, at1, io1) as s1) = mk () and ((mem2, at2, io2) as s2) = mk () in
+      let read (mem, atomics, io) = function
+        | Exec.Undo_log.K_mem a -> Vm.Mem.read mem a
+        | K_atomic v -> atomics.(v)
+        | K_file (f, off) -> Vm.Io.read io f ~off
+        | K_file_len f -> Vm.Io.size io f
+      in
+      let write (mem, atomics, io) key v =
+        match key with
+        | Exec.Undo_log.K_mem a -> Vm.Mem.write mem a v
+        | K_atomic x -> atomics.(x) <- v
+        | K_file (f, off) -> Vm.Io.write io f ~off v
+        | K_file_len f -> Vm.Io.truncate io f (v mod 24)
+      in
+      let restore (mem, atomics, io) (key, old) =
+        match key with
+        | Exec.Undo_log.K_mem a -> Vm.Mem.write mem a old
+        | K_atomic v -> atomics.(v) <- old
+        | K_file (f, off) -> Vm.Io.write io f ~off old
+        | K_file_len f -> Vm.Io.truncate io f old
+      in
+      let same_state () =
+        Array.for_all2 ( = ) (Array.init 64 (Vm.Mem.read mem1))
+          (Array.init 64 (Vm.Mem.read mem2))
+        && at1 = at2
+        && List.for_all
+             (fun f -> Vm.Io.contents io1 f = Vm.Io.contents io2 f)
+             [ 0; 1 ]
+      in
+      let older = Exec.Undo_log.create () and newer = Exec.Undo_log.create () in
+      let m_older = ref [] and m_newer = ref [] in
+      let pick o = if o then (older, m_older) else (newer, m_newer) in
+      let model_note m key old =
+        if List.mem_assoc key !m then false
+        else begin
+          m := (key, old) :: !m;
+          true
+        end
+      in
+      let agrees log m =
+        Exec.Undo_log.size log = List.length !m
+        && Exec.Undo_log.keys log = List.map fst !m
+        && Exec.Undo_log.is_empty log = (!m = [])
+      in
+      List.for_all
+        (fun op ->
+          let step_ok =
+            match op with
+            | U_note (o, key, v) ->
+              let log, m = pick o in
+              let old = read s1 key in
+              let r = Exec.Undo_log.note log key ~old in
+              let r' = model_note m key old in
+              write s1 key v;
+              write s2 key v;
+              r = r'
+            | U_replay o ->
+              let log, m = pick o in
+              let n = Exec.Undo_log.replay ~mem:mem1 ~atomics:at1 ~io:io1 log in
+              let n' = List.length !m in
+              List.iter (restore s2) !m;
+              m := [];
+              n = n' && same_state ()
+            | U_reset o ->
+              let log, m = pick o in
+              Exec.Undo_log.reset log;
+              m := [];
+              true
+            | U_merge ->
+              Exec.Undo_log.merge_newer ~older newer;
+              List.iter
+                (fun (key, old) -> ignore (model_note m_older key old))
+                (List.rev !m_newer);
+              m_newer := [];
+              true
+          in
+          step_ok && agrees older m_older && agrees newer m_newer)
+        ops)
+
 (* --- ROL ------------------------------------------------------------ *)
 
 let prop_rol_head_is_min =
@@ -355,6 +484,68 @@ let prop_order_grants_eligible =
             (Gprs.Order.advance t ~granted:h;
              true))
         toggles)
+
+(* The memoized holder against a fresh scan: after every random
+   mutation, the same mutations replayed into a new table, whose first
+   [holder] call scans with no memo, must designate the same thread. *)
+type order_op =
+  | O_add of int * int  (* tid, group *)
+  | O_remove of int
+  | O_eligible of int * bool
+  | O_advance of int
+  | O_grant  (* advance the current holder, if any *)
+
+let apply_order_op t = function
+  | O_add (tid, group) -> Gprs.Order.add_thread t ~tid ~group
+  | O_remove tid -> Gprs.Order.remove_thread t tid
+  | O_eligible (tid, e) -> Gprs.Order.set_eligible t tid e
+  | O_advance tid -> Gprs.Order.advance t ~granted:tid
+  | O_grant -> (
+    match Gprs.Order.holder t with
+    | Some h -> Gprs.Order.advance t ~granted:h
+    | None -> ())
+
+let prop_order_memo_fresh =
+  case "order: memoized holder equals a fresh scan, all schemes"
+    Gen.(
+      triple (int_range 0 3) (int_range 1 3)
+        (list_size (int_range 1 60)
+           (frequency
+              [
+                (3, map (fun g -> O_add (0, g)) (int_range 0 2));
+                (1, map (fun t -> O_remove t) (int_range 0 11));
+                (4, map2 (fun t e -> O_eligible (t, e)) (int_range 0 11) bool);
+                (1, map (fun t -> O_advance t) (int_range 0 11));
+                (2, return O_grant);
+              ])))
+    (fun (si, n_groups, ops) ->
+      let scheme =
+        [| Gprs.Order.Round_robin; Balance_aware; Weighted; Recorded |].(si)
+      in
+      let weights = Array.init n_groups (fun g -> g + 1) in
+      let t = Gprs.Order.create scheme ~group_weights:weights in
+      let n_added = ref 0 and applied = ref [] in
+      List.for_all
+        (fun op ->
+          (* Fix what the replay must repeat: fresh tids, and which tid a
+             grant advanced. *)
+          let op =
+            match op with
+            | O_add (_, g) ->
+              incr n_added;
+              O_add (!n_added - 1, g mod n_groups)
+            | O_grant -> (
+              match Gprs.Order.holder t with
+              | Some h -> O_advance h
+              | None -> O_advance (-1))
+            | O_remove _ | O_eligible _ | O_advance _ -> op
+          in
+          apply_order_op t op;
+          applied := op :: !applied;
+          let fresh = Gprs.Order.create scheme ~group_weights:weights in
+          List.iter (apply_order_op fresh) (List.rev !applied);
+          Gprs.Order.holder t = Gprs.Order.holder fresh)
+        ops)
 
 let prop_order_fair =
   case "order: every eligible thread is granted within one rotation"
@@ -685,10 +876,12 @@ let suite =
     prop_mem_image_equiv;
     prop_undo_restores;
     prop_paged_undo_equiv;
+    prop_undo_model;
     prop_rol_head_is_min;
     prop_rol_retire_prefix;
     prop_order_grants_eligible;
     prop_order_fair;
+    prop_order_memo_fresh;
     prop_weighted_turn_share;
     prop_scheduler_conservation;
     prop_barrier_counters;

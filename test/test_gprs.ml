@@ -187,7 +187,8 @@ let test_fork_cheap_under_gprs () =
 
 (* Host-only work at the sub-thread boundary (trace text, WAL text, idle
    run-queue probes) once cost about 2,400 minor words per sub-thread on
-   this run; it measures about 490 now. *)
+   this run, and the hashed undo log with string-keyed counters about
+   490; it measures about 365 now. *)
 let test_boundary_alloc_bounded () =
   let spec = Workloads.Suite.find "dedup" in
   let p =
@@ -206,8 +207,8 @@ let test_boundary_alloc_bounded () =
   let subs = Sim.Stats.get (Option.get !r).Exec.State.run_stats "gprs.subthreads" in
   checkb "sub-threads created" true (subs > 0);
   let per_sub = words / subs in
-  checkb (Printf.sprintf "%d minor words per sub-thread <= 800" per_sub) true
-    (per_sub <= 800)
+  checkb (Printf.sprintf "%d minor words per sub-thread <= 450" per_sub) true
+    (per_sub <= 450)
 
 let suite =
   [

@@ -154,8 +154,83 @@ let test_basic_recovery_workload () =
   checkb "completed" false r.Exec.State.dnc;
   checks "digest" d_ref (spec.Workloads.Workload.digest r)
 
+(* --- simulated-results golden ------------------------------------------ *)
+
+(* Digest, simulated cycles and the full stats bag of every workload under
+   every engine, fault-free and at 60 exceptions/s, at 8 contexts and
+   scale 0.2 — configured exactly as [gprs_run run -n 8 --scale 0.2
+   --rate R --stats] configures it. Every simulated result of the
+   reproduction is pinned here: a change that is meant to alter one must
+   regenerate the fixture deliberately. *)
+let sim_golden_lines () =
+  let n_contexts = 8 and seed = 1 in
+  let run engine rate program =
+    match engine with
+    | "pthreads" ->
+      Exec.Baseline.run
+        { Exec.Baseline.default_config with n_contexts; seed }
+        program
+    | "cpr" ->
+      Cpr.run
+        {
+          Cpr.default_config with
+          n_contexts;
+          seed;
+          checkpoint_interval = 0.05;
+          injector = Faults.Injector.config ~seed rate;
+        }
+        program
+    | _ ->
+      Gprs.Engine.run ~lint:`Off
+        {
+          Gprs.Engine.default_config with
+          n_contexts;
+          seed;
+          injector = Faults.Injector.config ~seed rate;
+        }
+        program
+  in
+  List.concat_map
+    (fun (spec : Workloads.Workload.spec) ->
+      let program =
+        spec.Workloads.Workload.build ~n_contexts
+          ~grain:Workloads.Workload.Default ~scale:0.2
+      in
+      List.concat_map
+        (fun engine ->
+          List.concat_map
+            (fun rate ->
+              let r = run engine rate program in
+              Printf.sprintf "== %s %s rate=%g" spec.Workloads.Workload.name
+                engine rate
+              :: Printf.sprintf "completed %b, %d cycles, digest %s"
+                   (not r.Exec.State.dnc) r.Exec.State.sim_cycles
+                   (spec.Workloads.Workload.digest r)
+              :: List.map
+                   (fun (k, v) -> Printf.sprintf "  %s %.3f" k v)
+                   (Sim.Stats.to_assoc r.Exec.State.run_stats))
+            [ 0.0; 60.0 ])
+        [ "pthreads"; "cpr"; "gprs" ])
+    Workloads.Suite.all
+
+let sim_golden_file = "fixtures/sim_golden.txt"
+
+(* The fixture is the default configuration's output, so fusion is pinned
+   on: under [GPRS_NO_FUSE=1] dedup's gprs run reports a [wal.high_water]
+   one lower (3709 against 3710) with the same digest and cycles. The other
+   knobs ([GPRS_NO_COMPILE], [GPRS_TSAN], an armed delay point) leave every
+   line as it is, so their CI legs check the fixture too. *)
+let sim_golden () =
+  let saved = Vm.Block.fusing () in
+  Vm.Block.set_fusing true;
+  Fun.protect
+    ~finally:(fun () -> Vm.Block.set_fusing saved)
+    sim_golden_lines
+  |> Tprog.check_golden ~file:sim_golden_file ~out:"sim_golden.actual"
+
 let suite =
   [
+    Alcotest.test_case "simulated results golden" `Quick sim_golden;
     Alcotest.test_case "gprs: all workloads, faults, exact digests" `Slow
       test_gprs_all_workloads_with_faults;
     Alcotest.test_case "cpr: all workloads, faults, exact digests" `Slow

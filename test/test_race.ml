@@ -523,29 +523,8 @@ let golden_lines () =
 let golden_file = "fixtures/lint_golden.txt"
 
 let golden_matrix () =
-  let expected =
-    In_channel.with_open_bin golden_file In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (( <> ) "")
-  in
-  let actual = golden_lines () in
-  let rec first_diff i = function
-    | e :: es, a :: as_ ->
-      if e = a then first_diff (i + 1) (es, as_) else Some (i, e, a)
-    | [], [] -> None
-    | e :: _, [] -> Some (i, e, "<missing>")
-    | [], a :: _ -> Some (i, "<missing>", a)
-  in
-  match first_diff 1 (expected, actual) with
-  | None -> ()
-  | Some (line, e, a) ->
-    (* Left beside the test binary, for review and deliberate promotion. *)
-    let out = "lint_golden.actual" in
-    Out_channel.with_open_bin out (fun oc ->
-        List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) actual);
-    Alcotest.failf
-      "%s line %d differs (full output in %s):\n  expected: %s\n  actual:   %s"
-      golden_file line (Filename.concat (Sys.getcwd ()) out) e a
+  Tprog.check_golden ~file:golden_file ~out:"lint_golden.actual"
+    (golden_lines ())
 
 let suite =
   [

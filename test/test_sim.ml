@@ -239,6 +239,47 @@ let test_stats_merge () =
   check "merged counter" 5 (Sim.Stats.get a "k");
   Alcotest.(check (float 1e-9)) "merged mean" 3.0 (Sim.Stats.mean a "o")
 
+(* Handles bind late: a handle that is never bumped leaves no key, and a
+   bound handle shares its cell with the string-keyed calls, so a bag
+   filled through handles reads exactly like one filled by key. *)
+let test_stats_handles () =
+  let s = Sim.Stats.create () in
+  let h = Sim.Stats.Handle.counter s "k" in
+  let hs = Sim.Stats.Handle.summary s "o" in
+  ignore (Sim.Stats.Handle.counter s "never");
+  ignore (Sim.Stats.Handle.summary s "never.s");
+  Alcotest.(check int) "unbumped handles register nothing" 0
+    (List.length (Sim.Stats.to_assoc s));
+  Sim.Stats.incr s "k";
+  Sim.Stats.Handle.incr h;
+  Sim.Stats.Handle.add h 3;
+  Sim.Stats.incr s "k";
+  check "handle and incr add into one counter" 6 (Sim.Stats.get s "k");
+  Sim.Stats.Handle.sample hs 1;
+  Sim.Stats.observe s "o" 5.0;
+  check "one summary" 2 (Sim.Stats.count s "o");
+  let plain = Sim.Stats.create () in
+  Sim.Stats.add plain "k" 6;
+  Sim.Stats.observe plain "o" 1.0;
+  Sim.Stats.observe plain "o" 5.0;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "to_assoc as if filled by key" (Sim.Stats.to_assoc plain)
+    (Sim.Stats.to_assoc s);
+  let into src =
+    let dst = Sim.Stats.create () in
+    Sim.Stats.incr dst "k";
+    Sim.Stats.merge_into ~dst src;
+    Sim.Stats.to_assoc dst
+  in
+  Alcotest.(check (list (pair string (float 0.0))))
+    "merge_into as if filled by key" (into plain) (into s);
+  check "bumps after binding allocate nothing" 0
+    (Tprog.alloc_words (fun () ->
+         for i = 1 to 1000 do
+           Sim.Stats.Handle.incr h;
+           Sim.Stats.Handle.sample hs i
+         done))
+
 let mk_trace ?capacity () =
   Sim.Trace.create ?capacity ~names:Exec.State.trace_names ()
 
@@ -378,6 +419,7 @@ let suite =
     Alcotest.test_case "stats counters" `Quick test_stats_counters;
     Alcotest.test_case "stats max/mean" `Quick test_stats_max_and_mean;
     Alcotest.test_case "stats merge" `Quick test_stats_merge;
+    Alcotest.test_case "stats handles" `Quick test_stats_handles;
     Alcotest.test_case "trace ring" `Quick test_trace_ring;
     Alcotest.test_case "trace find/disable" `Quick test_trace_find_and_disable;
     Alcotest.test_case "trace renders make_runnable" `Quick

@@ -151,6 +151,58 @@ let test_undo_keys () =
   ignore (Exec.Undo_log.note log (Exec.Undo_log.K_mem 2) ~old:0);
   check "two keys" 2 (List.length (Exec.Undo_log.keys log))
 
+(* A file word's key packs the file id into a fixed-width field: an id
+   or offset that does not fit must be refused, not folded onto another
+   location. *)
+let test_undo_file_key_range () =
+  let log = Exec.Undo_log.create () in
+  let max_off = (1 lsl 44) - 1 in
+  checkb "widest key" true
+    (Exec.Undo_log.note log (Exec.Undo_log.K_file (65535, max_off)) ~old:1);
+  checkb "distinct from file 0" true
+    (Exec.Undo_log.note log (Exec.Undo_log.K_file (0, max_off)) ~old:2);
+  Alcotest.(check bool)
+    "keys decode" true
+    (Exec.Undo_log.keys log
+    = [ Exec.Undo_log.K_file (0, max_off); Exec.Undo_log.K_file (65535, max_off) ]);
+  let raises key =
+    match Exec.Undo_log.note log key ~old:0 with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  checkb "file id 65536" true (raises (Exec.Undo_log.K_file (65536, 0)));
+  checkb "file id -1" true (raises (Exec.Undo_log.K_file (-1, 3)));
+  checkb "offset 2^44" true (raises (Exec.Undo_log.K_file (0, max_off + 1)));
+  checkb "negative offset" true (raises (Exec.Undo_log.K_file (1, -1)));
+  check "refused notes add nothing" 2 (Exec.Undo_log.size log)
+
+(* The copy-on-write barrier runs on every tracked store: once a location
+   is logged, noting it again must cost nothing, and a recycled log must
+   not re-pay the growth of its previous life. *)
+let test_undo_repeat_allocates_nothing () =
+  let io = Vm.Io.create () in
+  let f = Vm.Io.add_file io ~name:"f" [||] in
+  let log = Exec.Undo_log.create () in
+  let note_all n =
+    for i = 0 to n - 1 do
+      let k = i mod 1000 in
+      ignore
+        (match k land 3 with
+        | 0 -> Exec.Undo_log.note_mem log k ~old:i
+        | 1 -> Exec.Undo_log.note_atomic log k ~old:i
+        | 2 -> Exec.Undo_log.note_file log f ~off:k ~old:i
+        | _ -> Exec.Undo_log.note_file_len log k ~old:i)
+    done
+  in
+  note_all 1000;
+  check "warm-up entries" 1000 (Exec.Undo_log.size log);
+  check "10k repeated notes" 0 (Tprog.alloc_words (fun () -> note_all 10_000));
+  check "reset then re-note 1k keys" 0
+    (Tprog.alloc_words (fun () ->
+         Exec.Undo_log.reset log;
+         note_all 1000));
+  check "entries after re-note" 1000 (Exec.Undo_log.size log)
+
 let suite =
   [
     Alcotest.test_case "lsn monotonic" `Quick test_lsn_monotonic;
@@ -165,4 +217,8 @@ let suite =
     Alcotest.test_case "undo: replay restores" `Quick test_undo_replay_restores;
     Alcotest.test_case "undo: merge keeps older" `Quick test_undo_reverse_order;
     Alcotest.test_case "undo: keys" `Quick test_undo_keys;
+    Alcotest.test_case "undo: file key range checked" `Quick
+      test_undo_file_key_range;
+    Alcotest.test_case "undo: repeated writes allocate nothing" `Quick
+      test_undo_repeat_allocates_nothing;
   ]

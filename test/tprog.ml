@@ -10,6 +10,32 @@ let alloc_words f =
   f ();
   int_of_float (Gc.minor_words () -. w0)
 
+(* Compare [actual] with the non-empty lines of the golden [file]. On a
+   mismatch the full output is left beside the test binary as [out], for
+   review and deliberate promotion, and the first differing line is
+   reported. *)
+let check_golden ~file ~out actual =
+  let expected =
+    In_channel.with_open_bin file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  let rec first_diff i = function
+    | e :: es, a :: as_ ->
+      if e = a then first_diff (i + 1) (es, as_) else Some (i, e, a)
+    | [], [] -> None
+    | e :: _, [] -> Some (i, e, "<missing>")
+    | [], a :: _ -> Some (i, "<missing>", a)
+  in
+  match first_diff 1 (expected, actual) with
+  | None -> ()
+  | Some (line, e, a) ->
+    Out_channel.with_open_bin out (fun oc ->
+        List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) actual);
+    Alcotest.failf
+      "%s line %d differs (full output in %s):\n  expected: %s\n  actual:   %s"
+      file line (Filename.concat (Sys.getcwd ()) out) e a
+
 (* Workers write into private slots; main sums into address 0. *)
 let fork_join_sum ?(work = 400_000) ~workers () =
   let worker = proc "worker" in
